@@ -11,6 +11,13 @@
 //! exactly that, in the frozen CSR order (which is itself canonical —
 //! ascending neighbour lists per vertex).
 //!
+//! One hash stream serves every row source: [`CsrGraph`] slices,
+//! [`AccessGraph`] neighbour walks, and the rows of a
+//! [`GraphDigest`](crate::GraphDigest) — the serving path's route from
+//! raw request ids straight to a cache key, which never materializes
+//! a trace or a graph. The same adjacency therefore hashes the same
+//! whichever way it was built.
+//!
 //! The hash is a fixed, dependency-free 2-lane construction over `u64`
 //! words (SplitMix64 finalizers over distinct seeds, length-finalized),
 //! chosen for speed and stability: the same graph produces the same
@@ -102,18 +109,24 @@ impl Lanes {
     }
 }
 
-/// Fingerprints a frozen graph (see the module docs for what counts as
-/// canonical). The stream is: item count, per-vertex neighbour lists
-/// (vertex, neighbour, weight triples in CSR order), then per-item
-/// frequencies.
-pub fn fingerprint_csr(csr: &CsrGraph, frequencies: &[u64]) -> Fingerprint {
+/// The one hash stream behind every fingerprint: item count, then per
+/// vertex a marker and its `(neighbour, weight)` row in ascending
+/// neighbour order, a section separator, then per-item frequencies.
+/// Any row source works — CSR slices, digest rows, or tree walks —
+/// because the stream depends only on the rows' contents.
+pub(crate) fn fingerprint_rows<R>(
+    rows: impl ExactSizeIterator<Item = R>,
+    frequencies: &[u64],
+) -> Fingerprint
+where
+    R: IntoIterator<Item = (u64, u64)>,
+{
     let mut lanes = Lanes::new();
-    lanes.feed(csr.num_items() as u64);
-    for u in 0..csr.num_items() {
-        let (vs, ws) = csr.neighbor_slices(u);
+    lanes.feed(rows.len() as u64);
+    for (u, row) in rows.enumerate() {
         lanes.feed(u as u64 ^ 0x8000_0000_0000_0000);
-        for (&v, &w) in vs.iter().zip(ws) {
-            lanes.feed(u64::from(v));
+        for (v, w) in row {
+            lanes.feed(v);
             lanes.feed(w);
         }
     }
@@ -124,12 +137,30 @@ pub fn fingerprint_csr(csr: &CsrGraph, frequencies: &[u64]) -> Fingerprint {
     lanes.finish()
 }
 
-/// Fingerprints an [`AccessGraph`] by freezing it to canonical CSR
-/// form first. Two graphs compare equal under this fingerprint exactly
-/// when they have the same vertex count, edge weights, and item
-/// frequencies — the full input every placement algorithm consumes.
+/// Fingerprints a frozen graph (see the module docs for what counts as
+/// canonical). The stream is: item count, per-vertex neighbour lists
+/// (vertex, neighbour, weight triples in CSR order), then per-item
+/// frequencies.
+pub fn fingerprint_csr(csr: &CsrGraph, frequencies: &[u64]) -> Fingerprint {
+    fingerprint_rows(
+        (0..csr.num_items()).map(|u| {
+            let (vs, ws) = csr.neighbor_slices(u);
+            vs.iter().zip(ws).map(|(&v, &w)| (u64::from(v), w))
+        }),
+        frequencies,
+    )
+}
+
+/// Fingerprints an [`AccessGraph`] over its ascending neighbour lists
+/// (the rows [`CsrGraph::freeze`] would flatten). Two graphs compare
+/// equal under this fingerprint exactly when they have the same vertex
+/// count, edge weights, and item frequencies — the full input every
+/// placement algorithm consumes.
 pub fn fingerprint(graph: &AccessGraph) -> Fingerprint {
-    fingerprint_csr(&CsrGraph::freeze(graph), graph.frequencies())
+    fingerprint_rows(
+        (0..graph.num_items()).map(|u| graph.neighbors(u).map(|(v, w)| (v as u64, w))),
+        graph.frequencies(),
+    )
 }
 
 /// Fingerprints a graph *under a track topology*: the same adjacency

@@ -2,6 +2,8 @@ use std::collections::BTreeMap;
 
 use dwm_trace::Trace;
 
+use crate::digest::GraphDigest;
+
 /// One weighted undirected edge of an [`AccessGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Edge {
@@ -42,22 +44,21 @@ impl AccessGraph {
 
     /// Builds the access graph of a trace: edge `{u,v}` counts adjacent
     /// accesses of distinct items `u, v`; vertex weights count accesses.
+    /// The counting is [`GraphDigest`]'s, so this graph and a digest of
+    /// the same ids always agree.
     ///
     /// The trace must use dense item ids (see
     /// [`Trace::normalize`](dwm_trace::Trace::normalize)); all kernel
     /// and generator traces already do.
     pub fn from_trace(trace: &Trace) -> Self {
-        let mut g = AccessGraph::with_items(trace.num_items());
-        for a in trace.iter() {
-            g.frequency[a.item.index()] += 1;
-        }
-        for pair in trace.accesses().windows(2) {
-            let (u, v) = (pair[0].item.index(), pair[1].item.index());
-            if u != v {
-                g.add_weight(u, v, 1);
-            }
-        }
-        g
+        GraphDigest::from_dense(trace.num_items(), trace.iter().map(|a| a.item.index())).to_graph()
+    }
+
+    /// Assembles a graph from symmetric adjacency maps and frequencies
+    /// (the digest's conversion).
+    pub(crate) fn from_parts(adj: Vec<BTreeMap<usize, u64>>, frequency: Vec<u64>) -> Self {
+        debug_assert_eq!(adj.len(), frequency.len());
+        AccessGraph { adj, frequency }
     }
 
     /// Number of items (vertices).

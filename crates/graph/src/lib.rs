@@ -35,12 +35,14 @@
 
 pub mod csr;
 pub mod delta;
+pub mod digest;
 pub mod fingerprint;
 pub mod generators;
 mod graph;
 
 pub use csr::{ArrangementEval, CsrGraph};
 pub use delta::DeltaGraph;
+pub use digest::GraphDigest;
 pub use fingerprint::{fingerprint, fingerprint_retag, fingerprint_topology, Fingerprint};
 pub use graph::{AccessGraph, Edge};
 
@@ -56,6 +58,6 @@ pub mod prelude {
     pub use crate::generators::{clustered_graph, path_graph, random_graph};
     pub use crate::{
         fingerprint, fingerprint_topology, AccessGraph, ArrangementEval, CsrGraph, DeltaGraph,
-        Edge, Fingerprint,
+        Edge, Fingerprint, GraphDigest,
     };
 }

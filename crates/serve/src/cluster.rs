@@ -27,15 +27,12 @@
 
 use std::sync::Arc;
 
-use dwm_device::TrackTopology;
 use dwm_foundation::json::{Number, Object, Value};
 use dwm_foundation::net::{Request, Response};
 use dwm_foundation::obs;
-use dwm_graph::{fingerprint_topology, AccessGraph};
-use dwm_trace::Trace;
 
-use crate::engine::{Engine, EngineConfig};
-use crate::protocol::{parse_body, parse_topology, parse_workloads};
+use crate::engine::{workload_key, Engine, EngineConfig};
+use crate::protocol::{decode_body, parse_topology};
 
 /// Virtual nodes per shard on the hash ring. 64 keeps the expected
 /// key-space imbalance between shards under a few percent.
@@ -151,13 +148,10 @@ impl Cluster {
     /// is what makes each shard's cache slice disjoint and hit/miss
     /// sequences identical to a single engine's.
     fn solve_shard(&self, req: &Request) -> Option<usize> {
-        let obj = parse_body(&req.body).ok()?;
-        let topology = parse_topology(&obj).ok()?;
-        let workloads = parse_workloads(&obj).ok()?;
-        let ids = workloads.first()?;
-        let trace = Trace::from_ids(ids.iter().copied()).normalize();
-        let graph = AccessGraph::from_trace(&trace);
-        let fp = fingerprint_topology(&graph, &topology.canonical());
+        let decoded = decode_body(&req.body).ok()?;
+        let topology = parse_topology(decoded.fields()).ok()?;
+        let workloads = decoded.workloads().ok()?;
+        let (_, fp) = workload_key(workloads.first()?, &topology);
         Some(self.ring_shard(fp.hi ^ fp.lo))
     }
 

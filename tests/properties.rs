@@ -536,3 +536,72 @@ fn online_placer_invariants() {
         },
     );
 }
+
+/// The pre-digest graph builder, kept only as the digest's reference:
+/// normalize through a `Trace`, then count every transition into the
+/// `BTreeMap` adjacency with `add_weight`.
+fn reference_graph(ids: &[u32]) -> AccessGraph {
+    let trace = Trace::from_ids(ids.iter().copied()).normalize();
+    let mut g = AccessGraph::with_items(trace.num_items());
+    for a in trace.iter() {
+        let i = a.item.index();
+        g.set_frequency(i, g.frequency(i) + 1);
+    }
+    for pair in trace.accesses().windows(2) {
+        let (u, v) = (pair[0].item.index(), pair[1].item.index());
+        if u != v {
+            g.add_weight(u, v, 1);
+        }
+    }
+    g
+}
+
+/// Generator: raw request ids. Lengths include 1; pools include a
+/// single repeated id (no edges), dense ids, sparse ids with `0` and
+/// `u32::MAX`, and wide random pools.
+fn arb_ids(rng: &mut Rng) -> Vec<u32> {
+    let len = if rng.gen_bool(0.2) {
+        1
+    } else {
+        rng.gen_range(1..=400)
+    };
+    let pool: Vec<u32> = match rng.gen_range(0..4) {
+        0 => vec![rng.gen_range(0..=u32::MAX)],
+        1 => (0..rng.gen_range(1..=24u32)).collect(),
+        2 => {
+            let mut p: Vec<u32> = (0..rng.gen_range(1..=40))
+                .map(|_| rng.gen_range(0..=u32::MAX))
+                .collect();
+            p.extend([0, u32::MAX]);
+            p
+        }
+        _ => (0..rng.gen_range(1..=200))
+            .map(|_| rng.gen_range(0..1000u32))
+            .collect(),
+    };
+    (0..len)
+        .map(|_| pool[rng.gen_range(0..pool.len())])
+        .collect()
+}
+
+/// The digest the serving path keys on equals the old normalize +
+/// `BTreeMap` builder: same graph, same fingerprint by every route.
+#[test]
+fn digest_matches_the_reference_graph_builder() {
+    use dwm_placement::graph::fingerprint::fingerprint_csr;
+    Checker::new("digest_matches_the_reference_graph_builder")
+        .cases(256)
+        .run(arb_ids, |ids| {
+            let reference = reference_graph(ids);
+            let digest = GraphDigest::from_ids(ids);
+            require_eq!(digest.num_items(), reference.num_items());
+            require_eq!(digest.num_edges(), reference.num_edges());
+            require_eq!(digest.to_graph(), reference.clone());
+            let frozen = fingerprint_csr(&CsrGraph::freeze(&reference), reference.frequencies());
+            require_eq!(digest.fingerprint(), frozen);
+            require_eq!(fingerprint(&reference), frozen);
+            let normalized = Trace::from_ids(ids.iter().copied()).normalize();
+            require_eq!(AccessGraph::from_trace(&normalized), reference);
+            Ok(())
+        });
+}
