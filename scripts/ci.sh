@@ -42,6 +42,13 @@ cargo build --workspace --release
 echo "== cargo test"
 cargo test --workspace -q
 
+# The end-to-end benchmark is a package of its own (outside the
+# workspace), so the line above never builds it. Its tests are the
+# check that its traced replay still compiles against the serve API
+# and still renders bodies byte-identical to the engine's.
+echo "== cargo test (bench_e2e)"
+cargo test --manifest-path bench_e2e/Cargo.toml -q
+
 if [[ "$MODE" == "--tests-only" ]]; then
   echo "CI test gate passed (DWM_THREADS=${DWM_THREADS:-default})"
   exit 0
