@@ -816,8 +816,13 @@ mod tests {
         dispatch(&args)
     }
 
+    /// A fresh trace file per call: tests run on parallel threads of
+    /// one process, and each removes its file when done.
     fn temp_trace() -> std::path::PathBuf {
-        let path = std::env::temp_dir().join(format!("dwmplace_test_{}.trace", std::process::id()));
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path =
+            std::env::temp_dir().join(format!("dwmplace_test_{}_{n}.trace", std::process::id()));
         let trace = ZipfGen::new(32, 5).generate(2000);
         trace_io::save_text(&trace, &path).expect("temp file writable");
         path
