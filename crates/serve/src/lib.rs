@@ -12,7 +12,8 @@
 //!   `health`, and a Prometheus-format `metrics` scrape (see
 //!   [`protocol`]).
 //! * [`engine`] — request handling. Workloads are canonicalized to
-//!   their access graph and hashed with
+//!   their access graph's rows ([`dwm_graph::GraphDigest`], read from
+//!   ids decoded straight into `u32`s) and hashed identically to
 //!   [`fn@dwm_graph::fingerprint`]; a sharded LRU [`cache`] serves
 //!   repeated workloads without re-running the solver, and a batch of
 //!   cache misses inside one request fans out over the
