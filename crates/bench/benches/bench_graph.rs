@@ -8,11 +8,12 @@
 //! offender), simulated annealing, and windowed local search.
 
 use dwm_bench::{markov_fixture, BENCH_SEED};
-use dwm_core::SimulatedAnnealing;
+use dwm_core::{AnytimeSolver, SimulatedAnnealing, Tier};
 use dwm_core::{ChainGrowth, GreedyInsertion, LocalSearch, PlacementAlgorithm, RandomPlacement};
 use dwm_foundation::bench::{black_box, Harness};
 use dwm_foundation::par;
-use dwm_graph::{ArrangementEval, CsrGraph};
+use dwm_graph::{ArrangementEval, CsrGraph, GraphDigest};
+use dwm_trace::synth::{TraceGenerator, ZipfGen};
 
 fn main() {
     let mut h = Harness::from_env("graph");
@@ -66,7 +67,7 @@ fn main() {
     // The 10⁸-scale profile-driven workloads land on graphs this
     // size. The fixture is the realistic refinement call — polish a
     // ChainGrowth placement to convergence, exactly what the Hybrid
-    // pipeline does — and the profile-cached path is benched against
+    // pipeline does — and the window-local kernel is benched against
     // its scalar reference (same scan order and byte-identical
     // output, but a full two-row delta per candidate pair) so
     // `bench_gate.sh` can enforce the ≥2x speedup as a same-run pair,
@@ -83,6 +84,32 @@ fn main() {
             p
         });
         h.bench(&format!("algo/local_search_scalar/{n}"), || {
+            let mut p = start.clone();
+            ls.refine_frozen_scalar(black_box(&csr), &mut p);
+            p
+        });
+    }
+
+    // The shape a `/solve` miss refines: the digest of a 256-item ×
+    // 8192-access Zipf trace, whose hub items neighbour nearly every
+    // other item, polished from its tier-0 start as tier 1 does. Its
+    // early passes swap densely, a regime the Markov fixtures never
+    // reach, so the pair holds a second same-run speedup floor there.
+    {
+        let trace = ZipfGen::new(256, BENCH_SEED).generate(8192);
+        let ids: Vec<u32> = trace.iter().map(|a| a.item.index() as u32).collect();
+        let graph = GraphDigest::from_ids(&ids).to_graph();
+        let csr = CsrGraph::freeze(&graph);
+        let start = AnytimeSolver::new(BENCH_SEED)
+            .solve_frozen(&graph, &csr, Tier::Fast, 0)
+            .placement;
+        let ls = LocalSearch::default();
+        h.bench("algo/local_search_zipf/256", || {
+            let mut p = start.clone();
+            ls.refine_frozen(black_box(&csr), &mut p);
+            p
+        });
+        h.bench("algo/local_search_zipf_scalar/256", || {
             let mut p = start.clone();
             ls.refine_frozen_scalar(black_box(&csr), &mut p);
             p

@@ -10,14 +10,16 @@
 //!               <baseline.json> <report>...
 //! ```
 //!
-//! Each `<report>` is a suite JSON written by the harness
-//! (`DWM_BENCH_JSON`), or a directory of them. Normal mode compares the
-//! reports against the baseline and exits non-zero when any benchmark's
-//! minimum iteration time regressed beyond the threshold (default 0.25
-//! = 25%; see [`dwm_bench::gate`] for why minima, not medians).
-//! `--write-baseline` instead (re)writes `<baseline.json>` from the
-//! reports — run it after intentional performance changes and commit
-//! the file.
+//! Each `<report>` is one run: a suite JSON written by the harness
+//! (`DWM_BENCH_JSON`), or a directory of them. Several runs merge into
+//! one entry per id holding the slowest statistics any run recorded
+//! ([`gate::merge_worst`]). Normal mode compares that against the
+//! baseline and exits non-zero when any benchmark's minimum iteration
+//! time regressed beyond the threshold (default 0.25 = 25%; see
+//! [`dwm_bench::gate`] for why minima, not medians). `--write-baseline`
+//! instead (re)writes `<baseline.json>` from it — run it after
+//! intentional performance changes and commit the file.
+//! `scripts/bench_gate.sh --rebaseline` passes three runs.
 //!
 //! `--pair NUM DEN` additionally bounds the ratio of two *minimum*
 //! iteration times from the *current* run (`NUM / DEN ≤ 1 +
@@ -25,13 +27,13 @@
 //! machine seconds apart — and minima filter scheduler noise that
 //! swings medians — this holds a much tighter bound than the baseline
 //! gate; it is how CI proves observability costs < 5%. Pairs are
-//! checked in both normal and `--write-baseline` mode.
+//! checked in both normal and `--write-baseline` mode, within each run.
 //!
 //! `--min-speedup NUM DEN RATIO` is the same same-run minima ratio
 //! pointed the other way: it *fails unless* `NUM / DEN ≥ RATIO`. CI
 //! uses it to enforce that an optimized kernel actually keeps its
 //! speedup over the scalar reference it is benched against (e.g. the
-//! batched local-search path must stay ≥ 2× its scalar twin).
+//! window-local local-search kernel must stay ≥ 2× its scalar twin).
 //!
 //! `--p99-tail PREFIX FACTOR` bounds *tail latency* for every
 //! benchmark id under `PREFIX` in the current run: each one's
@@ -42,9 +44,10 @@
 //! accept path) inflates the p99 by orders of magnitude over the
 //! median. CI points this at `serve/` so the request-latency tail is
 //! gated, not just the best case. It is an error if no id matches the
-//! prefix. Checked in both normal and `--write-baseline` mode.
+//! prefix. Checked in both normal and `--write-baseline` mode, within
+//! each run, like the speedup floors.
 //!
-//! `--summary-json DIR` additionally writes this run's entries as a
+//! `--summary-json DIR` additionally writes the merged entries as a
 //! perf-trajectory snapshot `DIR/BENCH_<n>.json` (`n` = one past the
 //! highest existing snapshot; same schema as the baseline file), so a
 //! CI history of runs accumulates into a diffable performance record.
@@ -64,25 +67,23 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn collect_reports(paths: &[String]) -> Result<Vec<Entry>, String> {
-    let mut files: Vec<String> = Vec::new();
-    for p in paths {
-        if Path::new(p).is_dir() {
-            let mut in_dir: Vec<String> = std::fs::read_dir(p)
-                .map_err(|e| format!("{p}: {e}"))?
-                .filter_map(|entry| entry.ok())
-                .map(|entry| entry.path().to_string_lossy().into_owned())
-                .filter(|name| name.ends_with(".json"))
-                .collect();
-            in_dir.sort();
-            if in_dir.is_empty() {
-                return Err(format!("{p}: no .json reports in directory"));
-            }
-            files.extend(in_dir);
-        } else {
-            files.push(p.clone());
+/// Reads one run: a suite report, or a directory of them.
+fn collect_run(p: &str) -> Result<Vec<Entry>, String> {
+    let files = if Path::new(p).is_dir() {
+        let mut in_dir: Vec<String> = std::fs::read_dir(p)
+            .map_err(|e| format!("{p}: {e}"))?
+            .filter_map(|entry| entry.ok())
+            .map(|entry| entry.path().to_string_lossy().into_owned())
+            .filter(|name| name.ends_with(".json"))
+            .collect();
+        in_dir.sort();
+        if in_dir.is_empty() {
+            return Err(format!("{p}: no .json reports in directory"));
         }
-    }
+        in_dir
+    } else {
+        vec![p.to_owned()]
+    };
     let mut entries = Vec::new();
     for file in files {
         let text = std::fs::read_to_string(&file).map_err(|e| format!("{file}: {e}"))?;
@@ -107,7 +108,7 @@ fn check_speedups(current: &[Entry], floors: &[(String, String, f64)]) -> Result
     Ok(ok)
 }
 
-/// Writes this run's entries as `DIR/BENCH_<n>.json`, `n` one past
+/// Writes the merged entries as `DIR/BENCH_<n>.json`, `n` one past
 /// the highest existing snapshot index.
 fn write_summary(dir: &str, current: &[Entry]) -> Result<(), String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}"))?;
@@ -229,22 +230,36 @@ fn run() -> Result<bool, String> {
         usage();
     }
     let baseline_path = positional.remove(0);
-    let current = collect_reports(&positional)?;
+    let runs = positional
+        .iter()
+        .map(|p| collect_run(p))
+        .collect::<Result<Vec<_>, _>>()?;
+    let current = gate::merge_worst(&runs);
     if let Some(dir) = &summary_dir {
         write_summary(dir, &current)?;
+    }
+
+    // Same-run bounds hold only if they hold in every run.
+    let (mut pairs_ok, mut speedups_ok, mut tails_ok) = (true, true, true);
+    for (i, run) in runs.iter().enumerate() {
+        if runs.len() > 1 {
+            println!("run {} of {}:", i + 1, runs.len());
+        }
+        pairs_ok &= check_pairs(run, &pairs, pair_threshold)?;
+        speedups_ok &= check_speedups(run, &speedups)?;
+        tails_ok &= check_tails(run, &tails)?;
     }
 
     if write_baseline {
         std::fs::write(&baseline_path, gate::baseline_json(&current))
             .map_err(|e| format!("{baseline_path}: {e}"))?;
         println!(
-            "wrote {} entr{} to {baseline_path}",
+            "wrote {} entr{} to {baseline_path} (slowest minimum of {} run{})",
             current.len(),
-            if current.len() == 1 { "y" } else { "ies" }
+            if current.len() == 1 { "y" } else { "ies" },
+            runs.len(),
+            if runs.len() == 1 { "" } else { "s" }
         );
-        let pairs_ok = check_pairs(&current, &pairs, pair_threshold)?;
-        let speedups_ok = check_speedups(&current, &speedups)?;
-        let tails_ok = check_tails(&current, &tails)?;
         return Ok(pairs_ok && speedups_ok && tails_ok);
     }
 
@@ -277,9 +292,6 @@ fn run() -> Result<bool, String> {
     for id in &report.added {
         eprintln!("warning: new benchmark '{id}' not in baseline (re-baseline to track)");
     }
-    let pairs_ok = check_pairs(&current, &pairs, pair_threshold)?;
-    let speedups_ok = check_speedups(&current, &speedups)?;
-    let tails_ok = check_tails(&current, &tails)?;
     let regressions = report.regressions(threshold);
     if regressions.is_empty() && pairs_ok && speedups_ok && tails_ok {
         println!(

@@ -22,16 +22,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::graph::{AccessGraph, Edge};
 
-/// Global counter of incremental delta evaluations (swap, half-swap,
-/// relocate) answered by [`ArrangementEval`] — the denominator of
-/// every solver's moves-per-evaluation story. Evaluators count into a
-/// per-evaluator relaxed atomic (uncontended unless the *same*
-/// evaluator is shared across threads) and flush to the global striped
-/// counter once on drop.
+/// Global counter of incremental delta evaluations (swap, relocate)
+/// answered by [`ArrangementEval`] — the denominator of every solver's
+/// moves-per-evaluation story. Evaluators count into a per-evaluator
+/// relaxed atomic (uncontended unless the *same* evaluator is shared
+/// across threads) and flush to the global striped counter once on
+/// drop.
 pub(crate) fn delta_eval_counter() -> &'static dwm_foundation::obs::Counter {
     dwm_foundation::obs_counter!(
         "dwm_graph_eval_delta_evals_total",
-        "Incremental cost-delta evaluations (swap/half-swap/relocate) answered by ArrangementEval"
+        "Incremental cost-delta evaluations (swap/relocate) answered by ArrangementEval"
     )
 }
 
@@ -467,133 +467,6 @@ impl<'g> ArrangementEval<'g> {
             delta += keep * (e >> 32) as i64 * ((p_new - pv).abs() - (p_old - pv).abs());
         }
         delta
-    }
-
-    /// One item's half of a swap delta, plus its edge weight to the
-    /// swap partner: returns `(Σ_{v∈N(item)} w·(|to − pos[v]| −
-    /// |from − pos[v]|), w(item, partner))` in a single row walk.
-    ///
-    /// Callers that already know the other half — e.g. a windowed
-    /// scan holding a precomputed profile of the anchor item — combine
-    /// the pieces as `other_half + half + 2·w(item, partner)·|from −
-    /// to|` to get exactly [`swap_delta`](Self::swap_delta) (the
-    /// partner edge is double-counted once from each side, and a swap
-    /// preserves its length).
-    #[inline]
-    pub fn half_swap_delta(
-        &self,
-        item: usize,
-        from: usize,
-        to: usize,
-        partner: usize,
-    ) -> (i64, i64) {
-        self.delta_evals.fetch_add(1, Ordering::Relaxed);
-        let (p_old, p_new) = (from as i64, to as i64);
-        let pos = self.pos.as_slice();
-        let mask = pos.len() - 1;
-        let mut delta = 0i64;
-        let mut w_partner = 0i64;
-        // The partner weight is picked up with an arithmetic select
-        // (at most one row entry matches), keeping both loop bodies
-        // branch-free for unrolling and vectorization.
-        if let Some(row) = self.graph.packed_row(item) {
-            for &e in row {
-                let v = (e as u32) as usize;
-                let w = (e >> 32) as i64;
-                w_partner += i64::from(v == partner) * w;
-                let pv = pos[v & mask] as i64;
-                delta += w * ((p_new - pv).abs() - (p_old - pv).abs());
-            }
-        } else {
-            let (vs, ws) = self.graph.neighbor_slices(item);
-            for (&v, &w) in vs.iter().zip(ws) {
-                let v = v as usize;
-                let w = w as i64;
-                w_partner += i64::from(v == partner) * w;
-                let pv = pos[v & mask] as i64;
-                delta += w * ((p_new - pv).abs() - (p_old - pv).abs());
-            }
-        }
-        (delta, w_partner)
-    }
-
-    /// Batched candidate evaluation: fills `ga[q − lo] = Σ_{v∈N(item)}
-    /// w(item,v)·|q − pos[v]|` for every candidate slot `q ∈ [lo, hi]`
-    /// in **one walk** of `item`'s row — the own-edge cost of parking
-    /// `item` at each of up to `hi − lo + 1` candidate slots, which is
-    /// the anchor's half of that many swap deltas per row walk.
-    ///
-    /// Neighbours strictly outside the window contribute a linear ramp
-    /// (`q·W − S` from weight and moment sums on the left, mirrored on
-    /// the right), accumulated branch-free via arithmetic selects;
-    /// only the few neighbours *inside* the window (staged in `mid`, a
-    /// caller-owned scratch buffer reused across calls) need per-slot
-    /// absolute values, and that tail loop is a fixed-stride
-    /// accumulation over the `ga` array the compiler can vectorize.
-    ///
-    /// All-integer arithmetic: combining two profiles as
-    /// `(ga_a[j − lo] − ga_a[from − lo]) + half_b + 2·w(a,b)·(j − from)`
-    /// reproduces [`swap_delta`](Self::swap_delta) exactly, bit for
-    /// bit — the identity windowed local search is built on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ga.len() < hi − lo + 1` or `lo > hi`.
-    pub fn window_half_costs(
-        &self,
-        item: usize,
-        lo: usize,
-        hi: usize,
-        ga: &mut [i64],
-        mid: &mut Vec<(i64, i64)>,
-    ) {
-        self.delta_evals.fetch_add(1, Ordering::Relaxed);
-        let pos = self.pos.as_slice();
-        let mask = pos.len() - 1;
-        let (ki, hii) = (lo as i64, hi as i64);
-        let (mut wl, mut sl, mut wr, mut sr) = (0i64, 0i64, 0i64, 0i64);
-        mid.clear();
-        if let Some(row) = self.graph.packed_row(item) {
-            for &e in row {
-                let v = (e as u32) as usize;
-                let pv = pos[v & mask] as i64;
-                let wt = (e >> 32) as i64;
-                let left = i64::from(pv <= ki);
-                let right = i64::from(pv >= hii);
-                wl += left * wt;
-                sl += left * wt * pv;
-                wr += right * wt;
-                sr += right * wt * pv;
-                if left + right == 0 {
-                    mid.push((pv, wt));
-                }
-            }
-        } else {
-            let (vs, ws) = self.graph.neighbor_slices(item);
-            for (&v, &wt) in vs.iter().zip(ws) {
-                let pv = pos[(v as usize) & mask] as i64;
-                let wt = wt as i64;
-                let left = i64::from(pv <= ki);
-                let right = i64::from(pv >= hii);
-                wl += left * wt;
-                sl += left * wt * pv;
-                wr += right * wt;
-                sr += right * wt * pv;
-                if left + right == 0 {
-                    mid.push((pv, wt));
-                }
-            }
-        }
-        let ga = &mut ga[..=hi - lo];
-        for (i, g) in ga.iter_mut().enumerate() {
-            let q = ki + i as i64;
-            *g = (q * wl - sl) + (sr - q * wr);
-        }
-        for &(pv, wt) in mid.iter() {
-            for (i, g) in ga.iter_mut().enumerate() {
-                *g += wt * (ki + i as i64 - pv).abs();
-            }
-        }
     }
 
     /// Commits the swap of items `a` and `b`, taking the caller's

@@ -605,3 +605,57 @@ fn digest_matches_the_reference_graph_builder() {
             Ok(())
         });
 }
+
+/// Generator: one local-search differential case — a random,
+/// clustered, Zipf-digest (hub-heavy) or edgeless graph over 2..=70
+/// items, a window (0, 1, 4, 12 or at least the tape), a pass budget
+/// and a random, chain or identity start.
+fn arb_refinement(rng: &mut Rng) -> (AccessGraph, LocalSearch, Placement) {
+    let n = rng.gen_range(2..=70usize);
+    let seed = rng.next_u64();
+    let graph = match rng.gen_range(0..4) {
+        0 => random_graph(n, rng.gen_range(0.05..0.6), 9, seed),
+        1 => clustered_graph(n, rng.gen_range(1..=8usize), 0.6, 0.05, 4, seed),
+        2 => {
+            let trace = ZipfGen::new(n, seed).generate(rng.gen_range(2..=40 * n));
+            let ids: Vec<u32> = trace.iter().map(|a| a.item.index() as u32).collect();
+            GraphDigest::from_ids(&ids).to_graph()
+        }
+        _ => AccessGraph::with_items(n),
+    };
+    let max_passes = [1, 3, 50][rng.gen_range(0..3usize)];
+    let refiner = match rng.gen_range(0..5usize) {
+        0 => LocalSearch {
+            max_passes,
+            window: 0,
+        },
+        w @ 1..=3 => LocalSearch::new(max_passes).with_window([1, 4, 12][w - 1]),
+        _ => LocalSearch::new(max_passes)
+            .with_window([n, n + 1, 1 << 40, usize::MAX][rng.gen_range(0..4usize)]),
+    };
+    let start = match rng.gen_range(0..3) {
+        0 => RandomPlacement::new(seed).place(&graph),
+        1 => ChainGrowth.place(&graph),
+        _ => Placement::identity(graph.num_items()),
+    };
+    (graph, refiner, start)
+}
+
+/// The window-local local-search kernel makes exactly the scalar
+/// reference's swaps: same placement, same saving, on every graph
+/// shape, window, pass budget and start.
+#[test]
+fn local_search_kernels_agree() {
+    Checker::new("local_search_kernels_agree").cases(400).run(
+        arb_refinement,
+        |(graph, refiner, start)| {
+            let csr = CsrGraph::freeze(graph);
+            let (mut fast, mut scalar) = (start.clone(), start.clone());
+            let saved_fast = refiner.refine_frozen(&csr, &mut fast);
+            let saved_scalar = refiner.refine_frozen_scalar(&csr, &mut scalar);
+            require_eq!(fast, scalar);
+            require_eq!(saved_fast, saved_scalar);
+            Ok(())
+        },
+    );
+}
