@@ -78,7 +78,7 @@ fn artifacts() -> Vec<(&'static str, String)> {
         format!("{} saved={saved}", json(&p))
     }));
     // The scalar reference kernel must stay byte-identical to the
-    // profile-cached path above (same golden hash): kernel choice is a
+    // window-local kernel above (same golden hash): the kernel is a
     // performance decision, never a behavioral one.
     out.push(("local-search/scalar", {
         let csr = CsrGraph::freeze(&mg);
