@@ -49,8 +49,10 @@
 //!
 //! `--summary-json DIR` additionally writes the merged entries as a
 //! perf-trajectory snapshot `DIR/BENCH_<n>.json` (`n` = one past the
-//! highest existing snapshot; same schema as the baseline file), so a
-//! CI history of runs accumulates into a diffable performance record.
+//! highest existing snapshot; the baseline file's schema plus the
+//! machine's `available_parallelism` and `DWM_OBS` setting beside
+//! `entries`, see [`gate::snapshot_json`]), so a CI history of runs
+//! accumulates into a diffable performance record.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -125,7 +127,10 @@ fn write_summary(dir: &str, current: &[Entry]) -> Result<(), String> {
         .max()
         .map_or(1, |n| n + 1);
     let path = format!("{dir}/BENCH_{next}.json");
-    std::fs::write(&path, gate::baseline_json(current)).map_err(|e| format!("{path}: {e}"))?;
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let obs = std::env::var(dwm_foundation::obs::OBS_ENV).ok();
+    let text = gate::snapshot_json(current, cores, obs.as_deref());
+    std::fs::write(&path, text).map_err(|e| format!("{path}: {e}"))?;
     println!("summary snapshot: {path} ({} entries)", current.len());
     Ok(())
 }

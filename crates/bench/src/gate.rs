@@ -20,7 +20,9 @@
 //! "min_ns": ..., "p99_ns": ...}]}` with ids of the form
 //! `<suite>/<bench id>` (the median and p99 ride along for human
 //! diffing; `min_ns` falls back to the median in old files, `p99_ns`
-//! to the p95 and then the median). Re-baseline with
+//! to the p95 and then the median). Perf-trajectory snapshots use the
+//! same format with the machine recorded beside `entries`
+//! ([`snapshot_json`]). Re-baseline with
 //! `scripts/bench_gate.sh --rebaseline` after intentional performance
 //! changes (and commit the result): it runs the suites three times and
 //! records each id's slowest minimum ([`merge_worst`]).
@@ -183,6 +185,31 @@ pub fn parse_baseline(text: &str) -> Result<Vec<Entry>, String> {
 /// along so a human diffing a re-baseline sees the typical cost and
 /// the tail too.
 pub fn baseline_json(entries: &[Entry]) -> String {
+    document(Object::new(), entries)
+}
+
+/// Serializes a perf-trajectory snapshot (`BENCH_<n>.json`): the
+/// baseline format with the machine it ran on recorded beside
+/// `entries`, so a step in the trajectory can be told apart from a
+/// change of box. `dwm_obs` is the `DWM_OBS` setting, `None` when
+/// unset (written `"unset"`, as `bench_e2e` writes its machine record).
+/// [`parse_baseline`] reads snapshots with or without these fields.
+pub fn snapshot_json(
+    entries: &[Entry],
+    available_parallelism: usize,
+    dwm_obs: Option<&str>,
+) -> String {
+    let mut machine = Object::new();
+    machine.insert(
+        "available_parallelism",
+        Value::Num(Number::U(available_parallelism as u64)),
+    );
+    machine.insert("DWM_OBS", Value::Str(dwm_obs.unwrap_or("unset").to_owned()));
+    document(machine, entries)
+}
+
+/// `root` with the sorted `entries` array appended, as pretty JSON.
+fn document(mut root: Object, entries: &[Entry]) -> String {
     let mut sorted: Vec<&Entry> = entries.iter().collect();
     sorted.sort_by(|a, b| a.id.cmp(&b.id));
     let items: Vec<Value> = sorted
@@ -196,7 +223,6 @@ pub fn baseline_json(entries: &[Entry]) -> String {
             Value::Obj(o)
         })
         .collect();
-    let mut root = Object::new();
     root.insert("entries", Value::Arr(items));
     let mut text = Value::Obj(root).to_pretty();
     text.push('\n');
@@ -419,6 +445,35 @@ mod tests {
         let text = baseline_json(&entries(&[("b/2", 2.0), ("a/1", 1.5)]));
         let back = parse_baseline(&text).unwrap();
         assert_eq!(back, entries(&[("a/1", 1.5), ("b/2", 2.0)]));
+    }
+
+    #[test]
+    fn snapshots_record_the_machine_and_still_parse_as_baselines() {
+        let runs = entries(&[("b/2", 2.0), ("a/1", 1.5)]);
+        let text = snapshot_json(&runs, 2, None);
+        let root = parse(&text).unwrap();
+        let field = |k: &str| root.as_object().and_then(|o| o.get(k)).cloned();
+        assert_eq!(
+            field("available_parallelism").and_then(|v| v.as_number().and_then(Number::as_u64)),
+            Some(2)
+        );
+        assert_eq!(
+            field("DWM_OBS").and_then(|v| v.as_str().map(str::to_owned)),
+            Some("unset".to_owned())
+        );
+        let set = parse(&snapshot_json(&runs, 8, Some("0"))).unwrap();
+        assert_eq!(
+            set.as_object()
+                .and_then(|o| o.get("DWM_OBS"))
+                .and_then(Value::as_str),
+            Some("0")
+        );
+        // The machine fields ride beside `entries`: the baseline parser
+        // reads a new snapshot exactly like an old one without them.
+        let expect = entries(&[("a/1", 1.5), ("b/2", 2.0)]);
+        assert_eq!(parse_baseline(&text).unwrap(), expect);
+        assert_eq!(parse_baseline(&baseline_json(&runs)).unwrap(), expect);
+        assert!(!baseline_json(&runs).contains("available_parallelism"));
     }
 
     #[test]

@@ -1,21 +1,44 @@
-//! A zero-dependency scoped work-stealing parallel substrate.
+//! A zero-dependency work-stealing parallel substrate on one persistent
+//! thread pool.
 //!
 //! The workspace is hermetic (no registry dependencies, enforced by
 //! `tests/hermetic.rs`), so rayon is off the table; this module covers
 //! the workloads the reproduction actually has — embarrassingly
 //! parallel sweeps, per-DBC simulation, portfolio/multi-start
 //! placement, and bound-sharing branch and bound — with nothing but
-//! `std::thread`, atomics, and a mutex.
+//! `std::thread`, atomics, a mutex and two condvars.
 //!
 //! # Scheduling
 //!
-//! [`par_map`] / [`par_map_indexed`] / [`par_chunks`] split the index
-//! range into one contiguous block per worker. Each worker claims
-//! indices from the front of its own block; a worker whose block runs
-//! dry *steals the back half* of the richest remaining block (classic
-//! range-stealing), falling back to single-index claims for blocks too
-//! small to split. All claims go through atomics, so no index is ever
-//! processed twice and none is dropped.
+//! [`par_map`] / [`par_map_indexed`] split the index range into one
+//! contiguous block per worker. Each worker claims indices from the
+//! front of its own block; a worker whose block runs dry *steals the
+//! back half* of the richest remaining block (classic range-stealing),
+//! falling back to single-index claims for blocks too small to split.
+//! All claims go through atomics, so no index is ever processed twice
+//! and none is dropped. [`par_map_mut`] hands items out from a shared
+//! queue instead.
+//!
+//! The workers come from one persistent helper pool, started lazily
+//! on the first parallel call. Helpers park on a condvar between jobs;
+//! helper `k` only ever runs as worker `k`. The calling thread is
+//! worker 0: it posts the job, wakes the helpers, and runs the same
+//! claim/steal loop. A worker with nothing left to claim or steal
+//! leaves the job, and the caller then waits on a second condvar until
+//! every helper that joined has left — nobody spins. The pool grows to
+//! the largest `workers − 1` any call has asked for, never shrinks,
+//! and its helpers live for the whole process.
+//!
+//! The pool runs one job at a time. A call that finds it busy — one
+//! nested inside a job's item, or one issued concurrently from another
+//! thread — runs every block on its own thread, which the steal loop
+//! already allows: one worker alone finishes them all, with the same
+//! results. Such calls are counted in `dwm_par_pool_busy_total`.
+//!
+//! A panic in an item is caught on whichever worker ran it, helper or
+//! caller. The remaining items still run, the caller waits for every
+//! helper that joined, and only then resumes the first panic caught,
+//! on the caller. Helpers survive panics.
 //!
 //! # Determinism
 //!
@@ -31,7 +54,10 @@
 //! [`num_threads`] resolves, in order: the thread-local
 //! [`override_threads_local`] value, the process-local
 //! [`override_threads`] value, the `DWM_THREADS` environment variable,
-//! and finally [`std::thread::available_parallelism`].
+//! and finally [`std::thread::available_parallelism`]. The last is
+//! resolved once per process (it reads cgroup files, ~20 µs a call);
+//! `DWM_THREADS` and both overrides are read on every call, so
+//! changing them in-process takes effect at the next call.
 //!
 //! # Priority lanes
 //!
@@ -45,11 +71,16 @@
 //! remainder of a job that was already running when the request
 //! arrived.
 
+use std::any::Any;
 use std::cell::Cell;
 use std::marker::PhantomData;
+use std::num::NonZeroUsize;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
+
+use crate::obs;
 
 /// Process-local thread-count override; 0 means "not set".
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -121,7 +152,8 @@ pub fn override_threads_local(n: usize) -> LocalThreadOverrideGuard {
 /// Resolution order: [`override_threads_local`], then
 /// [`override_threads`], then the `DWM_THREADS` environment variable
 /// (values `>= 1`; `0` or garbage fall through), then
-/// [`std::thread::available_parallelism`]. Always `>= 1`.
+/// [`std::thread::available_parallelism`], resolved once per process.
+/// Always `>= 1`.
 pub fn num_threads() -> usize {
     let local = LOCAL_OVERRIDE.with(Cell::get);
     if local > 0 {
@@ -138,9 +170,8 @@ pub fn num_threads() -> usize {
     {
         return n;
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static HARDWARE: OnceLock<usize> = OnceLock::new();
+    *HARDWARE.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
 /// Count of foreground sections currently in flight (process-wide).
@@ -421,37 +452,183 @@ impl AtomicMin {
     }
 }
 
-/// A scope handle for coarse fork-join work; see [`scope`].
-#[derive(Debug)]
-pub struct Scope<'scope, 'env> {
-    inner: Option<&'scope std::thread::Scope<'scope, 'env>>,
+/// One `par_*` call's per-worker body: `job(w)` runs as worker `w`.
+/// Run as worker 0 alone it must finish every item itself (the claim
+/// and steal loops do), since helpers may never join.
+type Job<'a> = dyn Fn(usize) + Sync + 'a;
+
+/// The persistent helper pool behind every multi-worker `par_*` call
+/// (see the module docs' Scheduling section).
+struct Pool {
+    state: Mutex<PoolState>,
+    /// Helpers park here between jobs.
+    job_posted: Condvar,
+    /// The caller waits here for the helpers that joined its job.
+    helpers_left: Condvar,
 }
 
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Runs `f` on a scoped worker thread — or inline, right now, when
-    /// the pool is sequential ([`num_threads`]` == 1`).
-    pub fn spawn<F: FnOnce() + Send + 'scope>(&self, f: F) {
-        match self.inner {
-            Some(s) => {
-                s.spawn(f);
+struct PoolState {
+    /// Helper threads spawned so far; helper `k` (from 1) only ever
+    /// runs as worker `k`.
+    helpers: usize,
+    /// Whether a call owns the pool: from posting its job until every
+    /// helper that joined it has left.
+    owned: bool,
+    /// The owning call's job, while helpers may still join it.
+    job: Option<&'static Job<'static>>,
+    /// Worker count of the posted job; helpers `k < workers` join it.
+    workers: usize,
+    /// Number of the posted job, so a helper joins each job once.
+    seq: u64,
+    /// Helpers inside the posted job right now.
+    active: usize,
+    /// The first panic caught in the posted job.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+static POOL: Pool = Pool {
+    state: Mutex::new(PoolState {
+        helpers: 0,
+        owned: false,
+        job: None,
+        workers: 0,
+        seq: 0,
+        active: 0,
+        panic: None,
+    }),
+    job_posted: Condvar::new(),
+    helpers_left: Condvar::new(),
+};
+
+fn helpers_gauge() -> &'static obs::Gauge {
+    crate::obs_gauge!(
+        "dwm_par_pool_helpers",
+        "Helper threads the persistent par pool has spawned"
+    )
+}
+
+fn busy_counter() -> &'static obs::Counter {
+    crate::obs_counter!(
+        "dwm_par_pool_busy_total",
+        "Parallel par calls that found the pool busy and ran alone on the caller"
+    )
+}
+
+/// Registers the pool's metrics in the [`obs::global`] registry, so a
+/// scrape lists them (at zero) before the first parallel call.
+pub fn register_obs_metrics() {
+    let _ = (helpers_gauge(), busy_counter());
+}
+
+impl Pool {
+    /// Locks the pool state. A poisoned lock is recovered rather than
+    /// propagated: no user code runs under it and every update is a
+    /// plain field store, so the state is valid at every step, and the
+    /// caller's wait in [`run_job`] must not unwind (see its SAFETY
+    /// comment).
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Waits on `cv`, recovering a poisoned lock like [`Pool::lock`].
+    fn wait<'a>(cv: &Condvar, st: MutexGuard<'a, PoolState>) -> MutexGuard<'a, PoolState> {
+        cv.wait(st).unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Spawns helpers until there are `helpers`. A failed spawn stops
+    /// the growth without an error: fewer helpers only means fewer
+    /// workers, since the caller can finish every block alone.
+    fn grow(&self, st: &mut PoolState, helpers: usize) {
+        while st.helpers < helpers {
+            let k = st.helpers + 1;
+            // Helpers live for the whole process, so the handle is
+            // dropped; a helper never unwinds (jobs run under
+            // `catch_unwind` and the lock recovers from poisoning).
+            let spawned = std::thread::Builder::new()
+                .name(format!("dwm-par-{k}"))
+                .spawn(move || POOL.helper(k));
+            if spawned.is_err() {
+                break;
             }
-            None => f(),
+            st.helpers = k;
+            helpers_gauge().set_always(k as i64);
+        }
+    }
+
+    /// Helper `k`'s loop: join each posted job that has a worker slot
+    /// `k`, run it, and park in between.
+    fn helper(&self, k: usize) {
+        let mut seen = 0;
+        let mut st = self.lock();
+        loop {
+            match st.job {
+                Some(job) if st.seq != seen && k < st.workers => {
+                    seen = st.seq;
+                    st.active += 1;
+                    drop(st);
+                    let outcome = catch_unwind(AssertUnwindSafe(|| job(k)));
+                    st = self.lock();
+                    if let Err(payload) = outcome {
+                        st.panic.get_or_insert(payload);
+                    }
+                    st.active -= 1;
+                    if st.active == 0 {
+                        self.helpers_left.notify_one();
+                    }
+                }
+                _ => st = Self::wait(&self.job_posted, st),
+            }
         }
     }
 }
 
-/// Scoped fork-join: tasks spawned on the [`Scope`] may borrow from the
-/// caller's stack and are all joined before `scope` returns. With one
-/// thread every task runs inline in spawn order, which keeps the
-/// sequential path allocation- and thread-free.
-pub fn scope<'env, T, F>(f: F) -> T
-where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> T,
-{
-    if num_threads() <= 1 {
-        f(&Scope { inner: None })
-    } else {
-        std::thread::scope(|s| f(&Scope { inner: Some(s) }))
+/// Runs `job` on `workers` workers: worker 0 on the calling thread and
+/// worker `k` on helper `k` if it joins before the caller runs out of
+/// work. Returns once every item is done; a panic in any worker is
+/// resumed here after the join. A busy pool runs `job(0)` alone.
+fn run_job(workers: usize, job: &Job<'_>) {
+    let mut st = POOL.lock();
+    if st.owned {
+        drop(st);
+        busy_counter().inc();
+        return job(0);
+    }
+    st.owned = true;
+    POOL.grow(&mut st, workers - 1);
+    // SAFETY: only the lifetime is erased. Helpers copy the reference
+    // out of `st.job`, under the lock, only while it is `Some`, and
+    // count themselves in `st.active` in the same critical section.
+    // Below, this call sets `st.job = None`, after which no helper can
+    // copy it, and then blocks until `st.active == 0`, that is, until
+    // every helper that copied it has returned from `job` (a helper is
+    // done with its copy before it decrements). Nothing between here
+    // and that wait can unwind: the caller's own part runs under
+    // `catch_unwind`, and `Pool::lock` and `Pool::wait` recover from
+    // poisoning instead of panicking. So no helper uses the reference
+    // after this function returns, which is before the borrow behind
+    // `job` ends.
+    let erased = unsafe { std::mem::transmute::<&Job<'_>, &'static Job<'static>>(job) };
+    st.job = Some(erased);
+    st.workers = workers;
+    st.seq += 1;
+    drop(st);
+    POOL.job_posted.notify_all();
+
+    let mine = catch_unwind(AssertUnwindSafe(|| job(0)));
+
+    let mut st = POOL.lock();
+    st.job = None;
+    if let Err(payload) = mine {
+        st.panic.get_or_insert(payload);
+    }
+    while st.active > 0 {
+        st = Pool::wait(&POOL.helpers_left, st);
+    }
+    st.owned = false;
+    let panic = st.panic.take();
+    drop(st);
+    if let Some(payload) = panic {
+        resume_unwind(payload);
     }
 }
 
@@ -526,7 +703,8 @@ impl Block {
 ///
 /// Work is distributed over [`num_threads`] workers with range
 /// stealing; with one thread (or one item) this is a plain sequential
-/// map. A panic in `f` propagates to the caller.
+/// map. A panic in `f` propagates to the caller once every worker that
+/// joined has stopped.
 ///
 /// # Example
 ///
@@ -554,17 +732,13 @@ pub fn par_map_indexed<T: Sync, R: Send, F: Fn(usize, &T) -> R + Sync>(
     let blocks: Vec<Block> = (0..workers)
         .map(|w| Block::new(w * n / workers, (w + 1) * n / workers))
         .collect();
-    let completed = AtomicUsize::new(0);
+    let gathered = Mutex::new(Vec::with_capacity(workers));
 
-    let run_worker = |me: usize| -> Vec<(usize, R)> {
+    let run_worker = |me: usize| {
         let mut out = Vec::new();
-        let process = |i: usize, out: &mut Vec<(usize, R)>| {
-            out.push((i, f(i, &items[i])));
-            completed.fetch_add(1, Ordering::SeqCst);
-        };
         loop {
             if let Some(i) = blocks[me].claim() {
-                process(i, &mut out);
+                out.push((i, f(i, &items[i])));
                 continue;
             }
             // Own block dry: steal the back half of the richest block.
@@ -581,42 +755,17 @@ pub fn par_map_indexed<T: Sync, R: Send, F: Fn(usize, &T) -> R + Sync>(
             }
             // Nothing to split: drain stragglers one index at a time.
             if let Some(i) = blocks.iter().find_map(Block::claim) {
-                process(i, &mut out);
+                out.push((i, f(i, &items[i])));
                 continue;
             }
-            if completed.load(Ordering::SeqCst) >= n {
-                return out;
-            }
-            std::thread::yield_now();
+            // Every index is claimed; the ones still running finish on
+            // the workers that claimed them.
+            break;
         }
+        gathered.lock().expect("result list poisoned").push(out);
     };
-
-    let gathered: Vec<Vec<(usize, R)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| s.spawn(move || run_worker(w)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    });
-
-    into_ordered(n, gathered.into_iter().flatten())
-}
-
-/// Applies `f` to chunks of at most `chunk_size` consecutive items,
-/// returning per-chunk results in chunk order. The closure receives the
-/// chunk index and the chunk slice.
-pub fn par_chunks<T: Sync, R: Send, F: Fn(usize, &[T]) -> R + Sync>(
-    items: &[T],
-    chunk_size: usize,
-    f: F,
-) -> Vec<R> {
-    let chunks: Vec<&[T]> = items.chunks(chunk_size.max(1)).collect();
-    par_map_indexed(&chunks, |i, chunk| f(i, chunk))
+    run_job(workers, &run_worker);
+    into_ordered(n, gathered)
 }
 
 /// Applies `f` to every item through a mutable reference, returning the
@@ -633,37 +782,27 @@ pub fn par_map_mut<T: Send, R: Send, F: Fn(usize, &mut T) -> R + Sync>(
         return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
     }
     let queue: Mutex<Vec<(usize, &mut T)>> = Mutex::new(items.iter_mut().enumerate().collect());
-    let gathered: Vec<Vec<(usize, R)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut out = Vec::new();
-                    loop {
-                        let task = queue.lock().expect("queue poisoned").pop();
-                        match task {
-                            Some((i, item)) => out.push((i, f(i, item))),
-                            None => return out,
-                        }
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
+    let gathered = Mutex::new(Vec::with_capacity(workers));
+    run_job(workers, &|_| {
+        let mut out = Vec::new();
+        loop {
+            let task = queue.lock().expect("queue poisoned").pop();
+            match task {
+                Some((i, item)) => out.push((i, f(i, item))),
+                None => break,
+            }
+        }
+        gathered.lock().expect("result list poisoned").push(out);
     });
-    into_ordered(n, gathered.into_iter().flatten())
+    into_ordered(n, gathered)
 }
 
-/// Reassembles `(index, result)` pairs into input order.
-fn into_ordered<R>(n: usize, pairs: impl Iterator<Item = (usize, R)>) -> Vec<R> {
+/// Reassembles the workers' `(index, result)` lists into input order.
+fn into_ordered<R>(n: usize, gathered: Mutex<Vec<Vec<(usize, R)>>>) -> Vec<R> {
     let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
-    for (i, r) in pairs {
+    let lists = gathered.into_inner().expect("result list poisoned");
+    for (i, r) in lists.into_iter().flatten() {
         debug_assert!(slots[i].is_none(), "index {i} produced twice");
         slots[i] = Some(r);
     }
@@ -677,7 +816,58 @@ fn into_ordered<R>(n: usize, pairs: impl Iterator<Item = (usize, R)>) -> Vec<R> 
 mod tests {
     use super::*;
 
+    use std::collections::HashSet;
+    use std::thread::ThreadId;
+
     use super::TEST_OVERRIDE_LOCK as LOCK;
+
+    /// Runs `body` on a thread of its own and waits at most `bound` for
+    /// its result; `None` when it did not finish in time (its thread is
+    /// then left behind, since a hung thread cannot be joined).
+    fn within<R: Send + 'static>(
+        bound: Duration,
+        body: impl FnOnce() -> R + Send + 'static,
+    ) -> Option<R> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(body());
+        });
+        rx.recv_timeout(bound).ok()
+    }
+
+    /// `par_map_indexed` over 64 items at the current thread count, in
+    /// which every item first waits (until one shared deadline) for
+    /// `spread` distinct threads to have entered items, so each of that
+    /// many workers runs at least one. Then `f(on_helper, i)` computes
+    /// the item, `on_helper` telling whether a thread other than the
+    /// caller runs it. Returns the results and the threads that ran
+    /// items.
+    fn spread_map(
+        spread: usize,
+        f: impl Fn(bool, usize) -> usize + Sync,
+    ) -> (Vec<usize>, HashSet<ThreadId>) {
+        let caller = std::thread::current().id();
+        let seen = Mutex::new(HashSet::new());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let out = par_map_indexed(&[(); 64], |i, _| {
+            let me = std::thread::current().id();
+            seen.lock().unwrap().insert(me);
+            while seen.lock().unwrap().len() < spread && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            f(me != caller, i)
+        });
+        (out, seen.into_inner().unwrap())
+    }
+
+    /// Deterministic per-item work whose cost grows with `x`.
+    fn skewed(x: u64) -> u64 {
+        let mut acc = x;
+        for _ in 0..(x * 37) % 4096 {
+            acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
+        }
+        acc
+    }
 
     #[test]
     fn par_map_preserves_input_order() {
@@ -700,14 +890,8 @@ mod tests {
     #[test]
     fn sequential_and_parallel_agree_on_uneven_work() {
         let _l = LOCK.lock().unwrap();
-        let work = |i: usize, x: &u64| -> u64 {
-            // Skewed cost: later items spin longer, forcing steals.
-            let mut acc = *x;
-            for _ in 0..(i * 37) % 4096 {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
-            }
-            acc
-        };
+        // Skewed cost: later items spin longer, forcing steals.
+        let work = |_: usize, &x: &u64| skewed(x);
         let items: Vec<u64> = (0..500).collect();
         let seq = {
             let _g = override_threads(1);
@@ -718,17 +902,6 @@ mod tests {
             par_map_indexed(&items, work)
         };
         assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn par_chunks_covers_every_item_once() {
-        let _l = LOCK.lock().unwrap();
-        let _g = override_threads(3);
-        let items: Vec<u64> = (0..101).collect();
-        let sums = par_chunks(&items, 10, |_, c| c.iter().sum::<u64>());
-        assert_eq!(sums.len(), 11);
-        assert_eq!(sums.iter().sum::<u64>(), items.iter().sum::<u64>());
-        assert_eq!(sums[0], (0..10).sum::<u64>());
     }
 
     #[test]
@@ -763,23 +936,6 @@ mod tests {
         let values: Vec<u64> = (0..400).map(|i| 1000 - (i % 997)).collect();
         par_map(&values, |&v| m.improve(v));
         assert_eq!(m.get(), *values.iter().min().unwrap());
-    }
-
-    #[test]
-    fn scope_joins_all_tasks() {
-        let _l = LOCK.lock().unwrap();
-        for threads in [1usize, 4] {
-            let _g = override_threads(threads);
-            let counter = AtomicUsize::new(0);
-            scope(|s| {
-                for _ in 0..16 {
-                    s.spawn(|| {
-                        counter.fetch_add(1, Ordering::SeqCst);
-                    });
-                }
-            });
-            assert_eq!(counter.load(Ordering::SeqCst), 16);
-        }
     }
 
     #[test]
@@ -904,6 +1060,126 @@ mod tests {
         assert!(lane.wait_idle(Duration::from_secs(10)));
         assert!(ran.load(Ordering::SeqCst), "lane survives a panic");
         assert_eq!(lane.executed(), 2);
+    }
+
+    #[test]
+    fn a_panicking_item_reaches_the_caller_and_helpers_survive() {
+        let _l = LOCK.lock().unwrap();
+        for threads in [2usize, 8] {
+            let _g = override_threads(threads);
+            for (side, on_helper_panics) in [("helper", true), ("caller", false)] {
+                // One item panics; every other worker carries on.
+                let caught = within(Duration::from_secs(30), move || {
+                    let fired = AtomicBool::new(false);
+                    std::panic::catch_unwind(|| {
+                        spread_map(threads, |on_helper, i| {
+                            if on_helper == on_helper_panics && !fired.swap(true, Ordering::SeqCst)
+                            {
+                                panic!("{side} item {i}");
+                            }
+                            i
+                        })
+                    })
+                    .map_err(|payload| payload.downcast_ref::<String>().cloned())
+                })
+                .unwrap_or_else(|| panic!("a {side} panic at {threads} threads hung par_map"));
+                let message = caught
+                    .expect_err("the panic propagates")
+                    .expect("a formatted payload");
+                assert!(message.starts_with(side), "{message}");
+                // The next call runs on every worker again, in order.
+                let (out, ran_on) = spread_map(threads, |_, i| 3 * i);
+                assert_eq!(out, (0..64).map(|i| 3 * i).collect::<Vec<_>>());
+                assert_eq!(ran_on.len(), threads, "a helper died");
+            }
+        }
+    }
+
+    #[test]
+    fn helpers_persist_across_calls() {
+        let _l = LOCK.lock().unwrap();
+        let _g = override_threads(4);
+        let caller = std::thread::current().id();
+        let (_, first) = spread_map(4, |_, i| i);
+        let (_, second) = spread_map(4, |_, i| i);
+        assert!(first.contains(&caller), "the caller is worker 0");
+        assert_eq!(first, second, "the same threads ran both calls");
+        let helpers = first.iter().filter(|&&id| id != caller).count();
+        assert!(helpers <= 3, "{helpers} helper threads for 4 workers");
+        assert!(helpers_gauge().value() >= 3);
+    }
+
+    #[test]
+    fn nested_par_map_returns_its_sequential_result() {
+        let _l = LOCK.lock().unwrap();
+        let _obs_lock = obs::TEST_OVERRIDE_LOCK.lock().unwrap();
+        let _on = obs::override_enabled(true);
+        let _g = override_threads(4);
+        let busy_before = busy_counter().value();
+        let inner: Vec<u64> = (0..100).collect();
+        let outer: Vec<u64> = (0..8).collect();
+        let sum = |o: u64| {
+            inner
+                .iter()
+                .map(|&x| skewed(x * o))
+                .fold(0, u64::wrapping_add)
+        };
+        let got = par_map(&outer, |&o| {
+            par_map(&inner, |&x| skewed(x * o))
+                .into_iter()
+                .fold(0, u64::wrapping_add)
+        });
+        assert_eq!(got, outer.iter().map(|&o| sum(o)).collect::<Vec<_>>());
+        assert!(
+            busy_counter().value() >= busy_before + 8,
+            "every nested call found the pool busy"
+        );
+    }
+
+    #[test]
+    fn concurrent_calls_each_return_their_sequential_result() {
+        let _l = LOCK.lock().unwrap();
+        let _obs_lock = obs::TEST_OVERRIDE_LOCK.lock().unwrap();
+        let _on = obs::override_enabled(true);
+        let _g = override_threads(4);
+        let busy_before = busy_counter().value();
+        // The first call holds the pool until the other three have
+        // finished theirs, and they start only once it holds it, so
+        // each of them takes the busy path.
+        let holding = AtomicBool::new(false);
+        let finished = AtomicUsize::new(0);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let items: Vec<u64> = (0..2000).collect();
+        let expect = |t: u64| items.iter().map(|&x| skewed(x + t)).collect::<Vec<_>>();
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                par_map(&items, |&x| {
+                    holding.store(true, Ordering::SeqCst);
+                    while finished.load(Ordering::SeqCst) < 3 && Instant::now() < deadline {
+                        std::thread::yield_now();
+                    }
+                    skewed(x)
+                })
+            });
+            let others: Vec<_> = (1..4u64)
+                .map(|t| {
+                    let (holding, finished, items) = (&holding, &finished, &items);
+                    s.spawn(move || {
+                        while !holding.load(Ordering::SeqCst) && Instant::now() < deadline {
+                            std::thread::yield_now();
+                        }
+                        let out = par_map(items, |&x| skewed(x + t));
+                        finished.fetch_add(1, Ordering::SeqCst);
+                        out
+                    })
+                })
+                .collect();
+            assert_eq!(holder.join().unwrap(), expect(0));
+            for (t, other) in (1..4u64).zip(others) {
+                assert_eq!(other.join().unwrap(), expect(t));
+            }
+        });
+        assert!(busy_counter().value() >= busy_before + 3);
     }
 
     #[test]

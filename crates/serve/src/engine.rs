@@ -168,12 +168,13 @@ impl Engine {
 
     /// Creates an engine with explicit capacity and lifetime knobs.
     pub fn with_config(config: EngineConfig) -> Self {
-        // Solver/simulator/graph metrics live in the global registry;
-        // touching them here means a scrape on a fresh daemon already
-        // lists every family the first solve will move.
+        // Solver/simulator/graph/pool metrics live in the global
+        // registry; touching them here means a scrape on a fresh daemon
+        // already lists every family the first solve will move.
         dwm_core::register_obs_metrics();
         dwm_graph::register_obs_metrics();
         dwm_sim::register_obs_metrics();
+        par::register_obs_metrics();
 
         let cache = Arc::new(SolveCache::new(config.cache_capacity));
         let sessions = Arc::new(SessionTable::new(
