@@ -22,9 +22,10 @@
 //!   count, failing-seed replay) that the former proptest suites use.
 //!
 //! A fifth module, [`par`], is the workspace's parallel substrate: a
-//! scoped work-stealing pool (std `thread`/atomics only) whose `par_*`
-//! combinators return results in input order, so parallelized sweeps
-//! and solvers stay byte-deterministic at any `DWM_THREADS` setting.
+//! persistent work-stealing pool (std `thread`/atomics/condvars only)
+//! whose `par_*` combinators return results in input order, so
+//! parallelized sweeps and solvers stay byte-deterministic at any
+//! `DWM_THREADS` setting.
 //!
 //! A sixth module, [`net`], is the serving substrate: a minimal
 //! HTTP/1.1-style request parser/response writer plus an epoll
