@@ -829,10 +829,14 @@ mod tests {
         body: impl FnOnce() -> R + Send + 'static,
     ) -> Option<R> {
         let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
+        let thread = std::thread::spawn(move || {
             let _ = tx.send(body());
         });
-        rx.recv_timeout(bound).ok()
+        let result = rx.recv_timeout(bound).ok();
+        if result.is_some() {
+            thread.join().expect("the body returned");
+        }
+        result
     }
 
     /// `par_map_indexed` over 64 items at the current thread count, in
