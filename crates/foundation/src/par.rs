@@ -1147,42 +1147,39 @@ mod tests {
         let _on = obs::override_enabled(true);
         let _g = override_threads(4);
         let busy_before = busy_counter().value();
-        // The first call holds the pool until the other three have
+        // This thread's call holds the pool until the other three have
         // finished theirs, and they start only once it holds it, so
         // each of them takes the busy path.
-        let holding = AtomicBool::new(false);
-        let finished = AtomicUsize::new(0);
+        let holding = Arc::new(AtomicBool::new(false));
+        let finished = Arc::new(AtomicUsize::new(0));
         let deadline = Instant::now() + Duration::from_secs(10);
-        let items: Vec<u64> = (0..2000).collect();
-        let expect = |t: u64| items.iter().map(|&x| skewed(x + t)).collect::<Vec<_>>();
-        std::thread::scope(|s| {
-            let holder = s.spawn(|| {
-                par_map(&items, |&x| {
-                    holding.store(true, Ordering::SeqCst);
-                    while finished.load(Ordering::SeqCst) < 3 && Instant::now() < deadline {
+        let sequential = |t: u64| (0..2000).map(|x| skewed(x + t)).collect::<Vec<_>>();
+        let others: Vec<_> = (1..4u64)
+            .map(|t| {
+                let (holding, finished) = (Arc::clone(&holding), Arc::clone(&finished));
+                std::thread::spawn(move || {
+                    while !holding.load(Ordering::SeqCst) && Instant::now() < deadline {
                         std::thread::yield_now();
                     }
-                    skewed(x)
+                    let items: Vec<u64> = (0..2000).collect();
+                    let out = par_map(&items, |&x| skewed(x + t));
+                    finished.fetch_add(1, Ordering::SeqCst);
+                    out
                 })
-            });
-            let others: Vec<_> = (1..4u64)
-                .map(|t| {
-                    let (holding, finished, items) = (&holding, &finished, &items);
-                    s.spawn(move || {
-                        while !holding.load(Ordering::SeqCst) && Instant::now() < deadline {
-                            std::thread::yield_now();
-                        }
-                        let out = par_map(items, |&x| skewed(x + t));
-                        finished.fetch_add(1, Ordering::SeqCst);
-                        out
-                    })
-                })
-                .collect();
-            assert_eq!(holder.join().unwrap(), expect(0));
-            for (t, other) in (1..4u64).zip(others) {
-                assert_eq!(other.join().unwrap(), expect(t));
+            })
+            .collect();
+        let items: Vec<u64> = (0..2000).collect();
+        let held = par_map(&items, |&x| {
+            holding.store(true, Ordering::SeqCst);
+            while finished.load(Ordering::SeqCst) < 3 && Instant::now() < deadline {
+                std::thread::yield_now();
             }
+            skewed(x)
         });
+        assert_eq!(held, sequential(0));
+        for (t, other) in (1..4u64).zip(others) {
+            assert_eq!(other.join().unwrap(), sequential(t));
+        }
         assert!(busy_counter().value() >= busy_before + 3);
     }
 
