@@ -8,6 +8,18 @@
 //! a pure latency optimization and can never change response bodies
 //! for a fixed record version.
 //!
+//! The payload is a type parameter. The engine stores each result as
+//! its rendered compact JSON (`Arc<str>`), rendered once when it is
+//! solved, so a hit copies bytes into the response body instead of
+//! cloning and re-rendering a JSON tree, and a resident result costs
+//! its rendered length rather than a tree about eight times that size.
+//! The parameter's default, a `json::Value` tree, exists only for the
+//! end-to-end benchmark's traced replay, which names both types without
+//! parameters and keeps trees in its own mirror cache; it goes when
+//! ROADMAP item 2 deletes that mirror. [`CacheStats::bytes`] sums
+//! `size_of_val` of every resident payload's target: exactly the
+//! rendered length for `Arc<str>`, only the root node for a tree.
+//!
 //! Records are **versioned**: each carries the arrangement cost it
 //! memoizes, the tier and solver that produced it, a monotonically
 //! increasing version, and the count of applied upgrades. The
@@ -26,6 +38,7 @@
 //! to the solve that produced the entry.
 
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -48,10 +61,10 @@ pub struct CacheKey {
 
 /// One memoized solve with its provenance and upgrade lineage.
 #[derive(Debug, Clone)]
-pub struct CacheRecord {
+pub struct CacheRecord<P = Arc<Value>> {
     /// The memoized result object (never includes the `cache` field —
     /// that is derived per response from this record's metadata).
-    pub value: Arc<Value>,
+    pub value: P,
     /// Arrangement cost of the memoized placement; the strict-
     /// improvement bar every upgrade must clear.
     pub cost: u64,
@@ -65,9 +78,9 @@ pub struct CacheRecord {
     pub upgrades: u64,
 }
 
-impl CacheRecord {
+impl<P> CacheRecord<P> {
     /// A freshly solved record at version 1.
-    pub fn fresh(value: Arc<Value>, cost: u64, tier: u8, solver: impl Into<String>) -> Self {
+    pub fn fresh(value: P, cost: u64, tier: u8, solver: impl Into<String>) -> Self {
         CacheRecord {
             value,
             cost,
@@ -79,18 +92,32 @@ impl CacheRecord {
     }
 }
 
-struct Entry {
-    record: CacheRecord,
+/// Bytes a payload keeps resident, as [`CacheStats::bytes`] counts them.
+fn payload_bytes<P: Deref>(payload: &P) -> u64 {
+    std::mem::size_of_val::<P::Target>(payload) as u64
+}
+
+struct Entry<P> {
+    record: CacheRecord<P>,
     last_used: u64,
     /// Lookups that found this entry, since it was (re)inserted. Feeds
     /// the upgrade lane's priority: hot fingerprints upgrade first.
     hits: u64,
 }
 
-#[derive(Default)]
-struct Shard {
-    map: HashMap<CacheKey, Entry>,
+struct Shard<P> {
+    map: HashMap<CacheKey, Entry<P>>,
     tick: u64,
+    /// Sum of [`payload_bytes`] over `map`.
+    bytes: u64,
+}
+
+impl<P: Deref> Shard<P> {
+    fn remove(&mut self, key: &CacheKey) -> Option<Entry<P>> {
+        let entry = self.map.remove(key)?;
+        self.bytes -= payload_bytes(&entry.record.value);
+        Some(entry)
+    }
 }
 
 /// Monotonic counters describing cache behaviour since startup.
@@ -102,6 +129,8 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries currently resident.
     pub entries: u64,
+    /// Payload bytes currently resident (see the module docs).
+    pub bytes: u64,
     /// Entries evicted to make room.
     pub evictions: u64,
     /// Configured capacity (0 = caching disabled).
@@ -120,8 +149,8 @@ pub struct CacheStats {
 /// capacity of 0 disables caching entirely (every lookup misses, every
 /// insert is dropped), which the bench suite uses to measure pure
 /// solve cost.
-pub struct SolveCache {
-    shards: Vec<Mutex<Shard>>,
+pub struct SolveCache<P = Arc<Value>> {
+    shards: Vec<Mutex<Shard<P>>>,
     per_shard_capacity: usize,
     capacity: usize,
     hits: AtomicU64,
@@ -131,7 +160,7 @@ pub struct SolveCache {
     upgrades_discarded: AtomicU64,
 }
 
-impl SolveCache {
+impl<P: Clone + Deref> SolveCache<P> {
     /// Creates a cache with room for roughly `capacity` entries.
     pub fn new(capacity: usize) -> Self {
         let per_shard_capacity = if capacity == 0 {
@@ -140,7 +169,15 @@ impl SolveCache {
             capacity.div_ceil(SHARDS)
         };
         SolveCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
+            shards: (0..SHARDS)
+                .map(|_| {
+                    Mutex::new(Shard {
+                        map: HashMap::new(),
+                        tick: 0,
+                        bytes: 0,
+                    })
+                })
+                .collect(),
             per_shard_capacity,
             capacity,
             hits: AtomicU64::new(0),
@@ -151,12 +188,12 @@ impl SolveCache {
         }
     }
 
-    fn shard_of(&self, key: &CacheKey) -> &Mutex<Shard> {
+    fn shard_of(&self, key: &CacheKey) -> &Mutex<Shard<P>> {
         &self.shards[(key.fingerprint.lo as usize) & (SHARDS - 1)]
     }
 
     /// Looks up a memoized record, refreshing its LRU position.
-    pub fn get(&self, key: &CacheKey) -> Option<CacheRecord> {
+    pub fn get(&self, key: &CacheKey) -> Option<CacheRecord<P>> {
         if self.per_shard_capacity == 0 {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -192,24 +229,25 @@ impl SolveCache {
 
     /// Memoizes a solve record, evicting the least-recently-used entry
     /// of the target shard if it is full.
-    pub fn insert(&self, key: CacheKey, record: CacheRecord) {
+    pub fn insert(&self, key: CacheKey, record: CacheRecord<P>) {
         if self.per_shard_capacity == 0 {
             return;
         }
         let mut shard = self.shard_of(&key).lock().unwrap();
         shard.tick += 1;
         let tick = shard.tick;
-        if !shard.map.contains_key(&key) && shard.map.len() >= self.per_shard_capacity {
+        if shard.remove(&key).is_none() && shard.map.len() >= self.per_shard_capacity {
             if let Some(stale) = shard
                 .map
                 .iter()
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| k.clone())
             {
-                shard.map.remove(&stale);
+                shard.remove(&stale);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
+        shard.bytes += payload_bytes(&record.value);
         shard.map.insert(
             key,
             Entry {
@@ -230,7 +268,7 @@ impl SolveCache {
     pub fn upgrade(
         &self,
         key: &CacheKey,
-        value: Arc<Value>,
+        value: P,
         cost: u64,
         tier: u8,
         solver: impl Into<String>,
@@ -240,8 +278,11 @@ impl SolveCache {
             return false;
         }
         let mut shard = self.shard_of(key).lock().unwrap();
+        let shard = &mut *shard;
         match shard.map.get_mut(key) {
             Some(entry) if cost < entry.record.cost => {
+                shard.bytes += payload_bytes(&value);
+                shard.bytes -= payload_bytes(&entry.record.value);
                 entry.record.value = value;
                 entry.record.cost = cost;
                 entry.record.tier = tier;
@@ -260,15 +301,17 @@ impl SolveCache {
 
     /// A consistent-enough snapshot of the counters.
     pub fn stats(&self) -> CacheStats {
-        let entries = self
-            .shards
-            .iter()
-            .map(|s| s.lock().unwrap().map.len() as u64)
-            .sum();
+        let (mut entries, mut bytes) = (0, 0);
+        for shard in &self.shards {
+            let shard = shard.lock().expect("cache shard lock poisoned");
+            entries += shard.map.len() as u64;
+            bytes += shard.bytes;
+        }
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             entries,
+            bytes,
             evictions: self.evictions.load(Ordering::Relaxed),
             capacity: self.capacity as u64,
             upgrades_applied: self.upgrades_applied.load(Ordering::Relaxed),
@@ -280,7 +323,9 @@ impl SolveCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dwm_foundation::json::Number;
+
+    /// The engine's payload: rendered result bytes.
+    type Cache = SolveCache<Arc<str>>;
 
     fn key(lo: u64, alg: &str, seed: u64) -> CacheKey {
         CacheKey {
@@ -290,17 +335,17 @@ mod tests {
         }
     }
 
-    fn val(n: u64) -> Arc<Value> {
-        Arc::new(Value::Num(Number::U(n)))
+    fn val(n: u64) -> Arc<str> {
+        Arc::from(n.to_string())
     }
 
-    fn rec(n: u64, cost: u64) -> CacheRecord {
+    fn rec(n: u64, cost: u64) -> CacheRecord<Arc<str>> {
         CacheRecord::fresh(val(n), cost, 0, "greedy-csr")
     }
 
     #[test]
     fn hit_after_insert_and_key_components_distinguish() {
-        let cache = SolveCache::new(64);
+        let cache = Cache::new(64);
         cache.insert(key(1, "hybrid", 1), rec(10, 100));
         let hit = cache.get(&key(1, "hybrid", 1)).expect("hit");
         assert_eq!(hit.value.as_ref(), val(10).as_ref());
@@ -318,7 +363,7 @@ mod tests {
     fn lru_evicts_the_coldest_entry_per_shard() {
         // Capacity 8 over 8 shards = 1 entry per shard; keys 0 and 8
         // land in the same shard (lo % 8).
-        let cache = SolveCache::new(8);
+        let cache = Cache::new(8);
         cache.insert(key(0, "a", 0), rec(1, 10));
         cache.insert(key(8, "a", 0), rec(2, 10));
         assert!(cache.get(&key(0, "a", 0)).is_none(), "cold entry evicted");
@@ -329,7 +374,7 @@ mod tests {
     #[test]
     fn get_refreshes_recency() {
         // 16 total → 2 per shard. Keys 0, 8, 16 share shard 0.
-        let cache = SolveCache::new(16);
+        let cache = Cache::new(16);
         cache.insert(key(0, "a", 0), rec(1, 10));
         cache.insert(key(8, "a", 0), rec(2, 10));
         // Touch 0 so 8 becomes the LRU victim.
@@ -342,7 +387,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables_caching() {
-        let cache = SolveCache::new(0);
+        let cache = Cache::new(0);
         cache.insert(key(1, "a", 0), rec(1, 10));
         assert!(cache.get(&key(1, "a", 0)).is_none());
         assert!(!cache.upgrade(&key(1, "a", 0), val(2), 5, 2, "annealing"));
@@ -355,7 +400,7 @@ mod tests {
 
     #[test]
     fn reinserting_an_existing_key_replaces_without_eviction() {
-        let cache = SolveCache::new(8);
+        let cache = Cache::new(8);
         cache.insert(key(0, "a", 0), rec(1, 10));
         cache.insert(key(0, "a", 0), rec(9, 10));
         let got = cache.get(&key(0, "a", 0)).unwrap();
@@ -366,7 +411,7 @@ mod tests {
 
     #[test]
     fn upgrade_applies_only_strict_improvements() {
-        let cache = SolveCache::new(64);
+        let cache = Cache::new(64);
         let k = key(3, "anytime", 1);
         cache.insert(k.clone(), rec(1, 100));
 
@@ -395,7 +440,7 @@ mod tests {
 
     #[test]
     fn hit_count_tracks_lookups_without_spending_them() {
-        let cache = SolveCache::new(64);
+        let cache = Cache::new(64);
         let k = key(4, "hybrid", 0);
         assert_eq!(cache.hit_count(&k), 0); // absent key
         cache.insert(k.clone(), rec(1, 10));
@@ -411,12 +456,12 @@ mod tests {
         cache.insert(k.clone(), rec(2, 10));
         assert_eq!(cache.hit_count(&k), 0);
         // Disabled cache always answers 0.
-        assert_eq!(SolveCache::new(0).hit_count(&k), 0);
+        assert_eq!(Cache::new(0).hit_count(&k), 0);
     }
 
     #[test]
     fn upgrade_of_a_missing_record_is_discarded() {
-        let cache = SolveCache::new(64);
+        let cache = Cache::new(64);
         assert!(!cache.upgrade(&key(5, "anytime", 0), val(1), 1, 2, "annealing"));
         assert_eq!(cache.stats().upgrades_discarded, 1);
         assert_eq!(cache.stats().entries, 0);
@@ -425,7 +470,7 @@ mod tests {
     #[test]
     fn upgrade_does_not_refresh_lru_position() {
         // 8 total → 1 per shard; keys 0 and 8 share shard 0.
-        let cache = SolveCache::new(16);
+        let cache = Cache::new(16);
         cache.insert(key(0, "a", 0), rec(1, 100));
         cache.insert(key(8, "a", 0), rec(2, 100));
         // Upgrading key 0 must not make it "recently used"…
@@ -439,5 +484,44 @@ mod tests {
             "upgraded entry evicted"
         );
         assert!(cache.get(&key(8, "a", 0)).is_some());
+    }
+
+    #[test]
+    fn bytes_are_the_sum_of_resident_payload_lengths() {
+        let fresh = |s: &str| CacheRecord::fresh(Arc::from(s), 100, 0, "greedy-csr");
+        // The payload lengths of every resident key, read back.
+        let resident = |cache: &Cache| -> u64 {
+            [0, 1, 8, 16]
+                .into_iter()
+                .filter_map(|lo| cache.get(&key(lo, "a", 0)))
+                .map(|r| r.value.len() as u64)
+                .sum()
+        };
+        // 16 total → 2 per shard; keys 0, 8 and 16 share shard 0.
+        let cache = Cache::new(16);
+        cache.insert(key(0, "a", 0), fresh("aaaa"));
+        cache.insert(key(1, "a", 0), fresh("bbbbbbbbbb"));
+        assert_eq!(cache.stats().bytes, 4 + 10);
+        // A re-insert replaces the key's payload.
+        cache.insert(key(0, "a", 0), fresh("cc"));
+        assert_eq!(cache.stats().bytes, 2 + 10);
+        // A third key in shard 0 evicts its LRU entry, key 0.
+        cache.insert(key(8, "a", 0), fresh("ddddd"));
+        cache.insert(key(16, "a", 0), fresh("eeeeeee"));
+        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(cache.stats().bytes, 10 + 5 + 7);
+        // An applied upgrade swaps the payload; discarded ones (not
+        // strictly cheaper, or an evicted key) leave it.
+        assert!(cache.upgrade(&key(8, "a", 0), Arc::from("f"), 50, 2, "annealing"));
+        assert!(!cache.upgrade(&key(8, "a", 0), Arc::from("gggggggg"), 50, 2, "annealing"));
+        assert!(!cache.upgrade(&key(0, "a", 0), Arc::from("hhh"), 1, 2, "annealing"));
+        assert_eq!(cache.stats().bytes, 10 + 1 + 7);
+        assert_eq!(cache.stats().bytes, resident(&cache));
+
+        let off = Cache::new(0);
+        off.insert(key(0, "a", 0), fresh("aaaa"));
+        assert!(!off.upgrade(&key(0, "a", 0), Arc::from("b"), 1, 2, "annealing"));
+        assert_eq!(off.stats().bytes, 0);
+        assert_eq!(resident(&off), 0);
     }
 }

@@ -21,12 +21,15 @@
 //!    see [`fn@dwm_graph::fingerprint_retag`]); the
 //!    `(fingerprint, algorithm, seed)` triple keys the
 //!    [`SolveCache`]. The cluster router keys on the same function,
-//!    `workload_key`. A hit goes straight to rendering; only a miss
+//!    `workload_key`. A hit goes straight to the body splice; only a miss
 //!    (or a queued background upgrade) turns its digest into an
 //!    [`AccessGraph`].
 //! 4. Cache misses within one request are batched onto the
 //!    [`par`] pool — results come back in input order, so the
-//!    response body is independent of `DWM_THREADS`.
+//!    response body is independent of `DWM_THREADS`. Each solved
+//!    result is rendered to compact JSON once, and the cache keeps
+//!    those bytes; every body, hit or miss, splices the rendered
+//!    results into `{"cache":[…],"results":[…]}`.
 //! 5. Per-request wall-clock time is attached as the
 //!    `x-dwm-elapsed-us` header, never in the body, keeping bodies a
 //!    pure function of the request.
@@ -65,7 +68,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use dwm_core::algorithms::standard_suite;
-use dwm_core::anytime::{self, AnytimeOutcome, AnytimeSolver, Quality, Tier, TierPlan};
+use dwm_core::anytime::{self, AnytimeSolver, Quality, Tier, TierPlan};
 use dwm_core::{CostModel, MultiPortCost, Placement, PlacementAlgorithm, TopologyCost};
 use dwm_device::{DeviceConfig, Topology, TopologyKind, TrackTopology};
 use dwm_foundation::json::{Number, Object, ToJson, Value};
@@ -127,7 +130,7 @@ impl Default for EngineConfig {
 /// Shared request-handling state: the solve cache, the session table,
 /// the engine's metric registry, and handles to its counters.
 pub struct Engine {
-    cache: Arc<SolveCache>,
+    cache: Arc<SolveCache<Arc<str>>>,
     sessions: Arc<SessionTable>,
     registry: Arc<obs::Registry>,
     /// Idle-priority lane running background tier-2 upgrades; `None`
@@ -263,7 +266,7 @@ impl Engine {
         };
         // Cache metrics are scrape-time callbacks over the cache's own
         // counters — /stats and /metrics read the same atomics.
-        let cache_fn = |name: &str, help: &str, kind, read: fn(&SolveCache) -> u64| {
+        let cache_fn = |name: &str, help: &str, kind, read: fn(&SolveCache<Arc<str>>) -> u64| {
             let cache = Arc::clone(&cache);
             engine
                 .registry
@@ -292,6 +295,12 @@ impl Engine {
             "Solve-cache entries currently resident",
             FnKind::Gauge,
             |c| c.stats().entries,
+        );
+        cache_fn(
+            "dwm_serve_cache_bytes",
+            "Rendered result bytes resident in the solve cache",
+            FnKind::Gauge,
+            |c| c.stats().bytes,
         );
         cache_fn(
             "dwm_serve_cache_capacity",
@@ -428,7 +437,7 @@ impl Engine {
     }
 
     /// The solve cache (exposed for stats and priming in benches).
-    pub fn cache(&self) -> &SolveCache {
+    pub fn cache(&self) -> &SolveCache<Arc<str>> {
         &self.cache
     }
 
@@ -509,6 +518,7 @@ impl Engine {
         c.insert("hits", Value::Num(Number::U(cache.hits)));
         c.insert("misses", Value::Num(Number::U(cache.misses)));
         c.insert("entries", Value::Num(Number::U(cache.entries)));
+        c.insert("bytes", Value::Num(Number::U(cache.bytes)));
         c.insert("evictions", Value::Num(Number::U(cache.evictions)));
         c.insert("capacity", Value::Num(Number::U(cache.capacity)));
         c.insert(
@@ -606,7 +616,7 @@ impl Engine {
         // same adjacency structure solved for two geometries never
         // shares a cache record.
         let mut labels = Vec::with_capacity(workloads.len());
-        let mut results: Vec<Option<Arc<Value>>> = Vec::with_capacity(workloads.len());
+        let mut results = Vec::with_capacity(workloads.len());
         let mut misses: Vec<(usize, CacheKey, GraphDigest)> = Vec::new();
         for (i, ids) in workloads.iter().enumerate() {
             let (digest, fingerprint) = workload_key(ids, &topology);
@@ -621,11 +631,11 @@ impl Engine {
             };
             match self.cache.get(&key) {
                 Some(record) => {
-                    labels.push("hit");
+                    labels.push(Value::Str("hit".into()));
                     results.push(Some(record.value));
                 }
                 None => {
-                    labels.push("miss");
+                    labels.push(Value::Str("miss".into()));
                     results.push(None);
                     misses.push((i, key, digest));
                 }
@@ -638,8 +648,8 @@ impl Engine {
         let solved = par::par_map(&misses, |(_, key, digest)| {
             let algo =
                 resolve_algorithm(&key.algorithm, key.seed).expect("algorithm validated above");
-            let (value, cost) = solve_result(&digest.to_graph(), key, algo.as_ref(), &topology);
-            (Arc::new(value), cost)
+            let graph = digest.to_graph();
+            render_result(&graph, key, &algo.place(&graph), &topology)
         });
         for ((slot, key, _), (value, cost)) in misses.into_iter().zip(solved) {
             let solver = key.algorithm.clone();
@@ -647,22 +657,7 @@ impl Engine {
                 .insert(key, CacheRecord::fresh(Arc::clone(&value), cost, 0, solver));
             results[slot] = Some(value);
         }
-
-        let mut body = Object::new();
-        body.insert(
-            "cache",
-            Value::Arr(labels.into_iter().map(|l| Value::Str(l.into())).collect()),
-        );
-        body.insert(
-            "results",
-            Value::Arr(
-                results
-                    .into_iter()
-                    .map(|r| (*r.expect("every workload resolved")).clone())
-                    .collect(),
-            ),
-        );
-        Ok(Response::json(200, Value::Obj(body).to_compact()))
+        Ok(solve_response(labels, results))
     }
 
     /// The tiered `/solve` form: `quality` / `deadline_us` select a
@@ -682,8 +677,8 @@ impl Engine {
         let topology = parse_topology(obj)?;
         let workloads = decoded.workloads()?;
 
-        let mut labels: Vec<Option<Value>> = Vec::with_capacity(workloads.len());
-        let mut results: Vec<Option<Arc<Value>>> = Vec::with_capacity(workloads.len());
+        let mut labels = Vec::with_capacity(workloads.len());
+        let mut results = Vec::with_capacity(workloads.len());
         let mut misses: Vec<(usize, CacheKey, GraphDigest, TierPlan)> = Vec::new();
         for (i, ids) in workloads.iter().enumerate() {
             let (digest, fingerprint) = workload_key(ids, &topology);
@@ -738,11 +733,11 @@ impl Engine {
                     if plan.upgrade && record.tier < Tier::Thorough.index() {
                         self.schedule_upgrade(key, digest, seed, topology);
                     }
-                    labels.push(Some(cache_label("hit", &record)));
+                    labels.push(cache_label("hit", &record));
                     results.push(Some(record.value));
                 }
                 None => {
-                    labels.push(None);
+                    labels.push(Value::Null);
                     results.push(None);
                     misses.push((i, key, digest, plan));
                 }
@@ -754,8 +749,8 @@ impl Engine {
         let solved = par::par_map(&misses, |(_, key, digest, plan)| {
             let graph = digest.to_graph();
             let outcome = AnytimeSolver::new(seed).solve(&graph, plan.tier, plan.passes);
-            let (value, cost) = anytime_result(&graph, key, &outcome, &topology);
-            (Arc::new(value), cost, outcome)
+            let (value, cost) = render_result(&graph, key, &outcome.placement, &topology);
+            (value, cost, outcome)
         });
         for ((slot, key, digest, plan), (value, cost, outcome)) in misses.into_iter().zip(solved) {
             self.tier_solves[usize::from(outcome.tier.index())].inc_always();
@@ -765,7 +760,7 @@ impl Engine {
                 outcome.tier.index(),
                 outcome.solver,
             );
-            labels[slot] = Some(cache_label("miss", &record));
+            labels[slot] = cache_label("miss", &record);
             if plan.upgrade && outcome.tier != Tier::Thorough {
                 self.cache.insert(key.clone(), record);
                 self.schedule_upgrade(key, digest, seed, topology);
@@ -774,27 +769,7 @@ impl Engine {
             }
             results[slot] = Some(value);
         }
-
-        let mut body = Object::new();
-        body.insert(
-            "cache",
-            Value::Arr(
-                labels
-                    .into_iter()
-                    .map(|l| l.expect("every workload labeled"))
-                    .collect(),
-            ),
-        );
-        body.insert(
-            "results",
-            Value::Arr(
-                results
-                    .into_iter()
-                    .map(|r| (*r.expect("every workload resolved")).clone())
-                    .collect(),
-            ),
-        );
-        let response = Response::json(200, Value::Obj(body).to_compact());
+        let response = solve_response(labels, results);
         if let Some(deadline) = knobs.deadline_us {
             if started.elapsed().as_micros() as u64 <= deadline {
                 self.deadline_met.inc_always();
@@ -831,14 +806,8 @@ impl Engine {
             let graph = digest.to_graph();
             let outcome =
                 AnytimeSolver::new(seed).solve(&graph, Tier::Thorough, anytime::MAX_PASSES);
-            let (value, cost) = anytime_result(&graph, &key, &outcome, &topology);
-            cache.upgrade(
-                &key,
-                Arc::new(value),
-                cost,
-                outcome.tier.index(),
-                outcome.solver,
-            );
+            let (value, cost) = render_result(&graph, &key, &outcome.placement, &topology);
+            cache.upgrade(&key, value, cost, outcome.tier.index(), outcome.solver);
             inflight.lock().expect("inflight set poisoned").remove(&key);
         });
     }
@@ -1213,45 +1182,26 @@ pub(crate) fn workload_key(ids: &[u32], topology: &Topology) -> (GraphDigest, Fi
     (digest, fingerprint)
 }
 
-/// Builds the memoized result object for one solved workload,
-/// returning it with the placement's arrangement cost (the cache
-/// record needs the cost as its strict-improvement bar).
-fn solve_result(
-    graph: &AccessGraph,
-    key: &CacheKey,
-    algo: &dyn PlacementAlgorithm,
-    topology: &Topology,
-) -> (Value, u64) {
-    let placement = algo.place(graph);
-    result_object(graph, key, &placement, topology)
-}
-
-/// Builds the result object for one anytime-tier outcome. Same field
-/// set as the legacy form — tier and solver provenance live in the
-/// response's `cache` labels, not the body, so a background upgrade is
-/// observable only through the versioned `cache` field. The returned
-/// cost is the body's `cost` field, recomputed under the topology cost
-/// model so record costs and response bodies can never disagree.
-fn anytime_result(
-    graph: &AccessGraph,
-    key: &CacheKey,
-    outcome: &AnytimeOutcome,
-    topology: &Topology,
-) -> (Value, u64) {
-    result_object(graph, key, &outcome.placement, topology)
-}
-
-/// The per-workload result body shared by legacy and tiered solves.
+/// Renders the memoized result for one solved workload, shared by
+/// legacy solves, tiered solves and background upgrades: the object
+/// is built once and rendered to compact JSON once, and the cache
+/// keeps those bytes. Returns them with the placement's arrangement
+/// cost, the record's strict-improvement bar.
+///
 /// Costs come from a single-port [`TopologyCost`], whose linear case is
-/// pinned byte-identical to the pre-topology `SinglePortCost`; the
+/// pinned byte-identical to the pre-topology `SinglePortCost`, so the
+/// record's cost and the body's `cost` field can never disagree. The
 /// `topology` field appears only for non-linear requests, so legacy
 /// bodies (and explicit `"topology":"linear"` ones) are unchanged.
-fn result_object(
+/// Tier and solver provenance live in the response's `cache` labels,
+/// not here, so a background upgrade is observable only through the
+/// versioned `cache` field.
+fn render_result(
     graph: &AccessGraph,
     key: &CacheKey,
     placement: &Placement,
     topology: &Topology,
-) -> (Value, u64) {
+) -> (Arc<str>, u64) {
     let n = graph.num_items();
     let cost_model = TopologyCost::single_port(*topology, n);
     let naive = cost_model.graph_cost(&Placement::identity(n), graph);
@@ -1283,12 +1233,32 @@ fn result_object(
                 .collect(),
         ),
     );
-    (Value::Obj(obj), cost)
+    (Value::Obj(obj).to_compact().into(), cost)
+}
+
+/// The `/solve` body: the compact rendering of
+/// `{"cache":[labels…],"results":[results…]}`, with each workload's
+/// rendered result bytes spliced in as they are.
+fn solve_response(labels: Vec<Value>, results: Vec<Option<Arc<str>>>) -> Response {
+    let labels = Value::Arr(labels).to_compact();
+    let len: usize = results.iter().flatten().map(|r| r.len() + 1).sum();
+    let mut body = String::with_capacity(len + labels.len() + 24);
+    body.push_str("{\"cache\":");
+    body.push_str(&labels);
+    body.push_str(",\"results\":[");
+    for (i, result) in results.iter().enumerate() {
+        if i > 0 {
+            body.push(',');
+        }
+        body.push_str(result.as_deref().expect("every workload resolved"));
+    }
+    body.push_str("]}");
+    Response::json(200, body)
 }
 
 /// The per-workload `cache` label for tiered solves: an object carrying
 /// the resident record's provenance and upgrade lineage.
-fn cache_label(status: &str, record: &CacheRecord) -> Value {
+fn cache_label(status: &str, record: &CacheRecord<Arc<str>>) -> Value {
     let mut obj = Object::new();
     obj.insert("status", Value::Str(status.into()));
     obj.insert("tier", Value::Num(Number::U(u64::from(record.tier))));
@@ -1926,5 +1896,62 @@ mod tests {
             resp.body_str().unwrap().to_owned()
         };
         assert_eq!(body_at(1), body_at(4));
+    }
+
+    /// The rendered `results` array of a `/solve` body, brackets off.
+    fn results_bytes(body: &str) -> &str {
+        body.split_once(r#","results":["#)
+            .and_then(|(_, rest)| rest.strip_suffix("]}"))
+            .unwrap_or_else(|| panic!("not a /solve body: {body}"))
+    }
+
+    #[test]
+    fn mixed_hit_and_miss_batches_splice_the_single_workload_results() {
+        use dwm_foundation::par;
+        let resident = "[0,1,0,2,1,3,0,2]";
+        let new = "[4,4,2,0,7,2,4,7,0]";
+        for form in [r#""algorithm":"hybrid""#, r#""quality":"balanced""#] {
+            let solve = |e: &Engine, body: String| {
+                let resp = e.handle(&Request::post("/solve", body.as_str()));
+                assert_eq!(resp.status, 200, "{:?}", resp.body_str());
+                resp.body_str().unwrap().to_owned()
+            };
+            let single = |ids: &str| {
+                let body = solve(&engine(), format!(r#"{{{form},"ids":{ids}}}"#));
+                results_bytes(&body).to_owned()
+            };
+            let (a, b) = (single(resident), single(new));
+            // A resident workload, a new one, and the new one again:
+            // one hit and two misses (lookups precede the batch solve).
+            let body_at = |threads: usize| {
+                let _guard = par::override_threads(threads);
+                let e = engine();
+                solve(&e, format!(r#"{{{form},"ids":{resident}}}"#));
+                solve(
+                    &e,
+                    format!(
+                        r#"{{{form},"workloads":[{{"ids":{resident}}},{{"ids":{new}}},{{"ids":{new}}}]}}"#
+                    ),
+                )
+            };
+            let body = body_at(1);
+            assert_eq!(results_bytes(&body), format!("{a},{b},{b}"), "{form}");
+            let parsed = parse(&body).unwrap();
+            let statuses: Vec<&str> = parsed
+                .as_object()
+                .unwrap()
+                .get("cache")
+                .unwrap()
+                .as_array()
+                .unwrap()
+                .iter()
+                .map(|l| match l {
+                    Value::Obj(o) => o.get("status").unwrap().as_str().unwrap(),
+                    other => other.as_str().unwrap(),
+                })
+                .collect();
+            assert_eq!(statuses, ["hit", "miss", "miss"], "{form}");
+            assert_eq!(body, body_at(8), "{form}");
+        }
     }
 }

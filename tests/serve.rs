@@ -204,6 +204,8 @@ fn metrics_scrape_is_valid_exposition_and_agrees_with_stats() {
         stat("entries"),
         scrape_value(&text, "dwm_serve_cache_entries")
     );
+    assert_eq!(stat("bytes"), scrape_value(&text, "dwm_serve_cache_bytes"));
+    assert!(stat("bytes") > 0, "one rendered result is resident");
     assert_eq!(stat("hits"), 1, "miss-then-hit sequence");
     assert_eq!(stat("misses"), 1, "miss-then-hit sequence");
     assert_eq!(
