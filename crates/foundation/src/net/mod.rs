@@ -11,9 +11,9 @@
 //!   `Content-Length` bodies, keep-alive connections), in both a
 //!   blocking flavor (clients) and an incremental flavor
 //!   ([`try_parse_request`]) the event loop feeds byte-wise;
-//! * [`Poller`] — a small readiness abstraction (epoll on Linux,
-//!   kqueue stub-gated elsewhere) with level- and edge-triggered
-//!   registration, plus an eventfd [`Waker`] for cross-thread wakeups;
+//! * [`Poller`] — a small readiness abstraction over epoll with level-
+//!   and edge-triggered registration, plus an eventfd [`Waker`] for
+//!   cross-thread wakeups;
 //! * [`BoundedQueue`] — a capacity-limited MPMC handoff queue whose
 //!   `try_push` refuses work when full, giving the server backpressure
 //!   instead of unbounded memory growth;
@@ -36,6 +36,12 @@
 //! cross-connection scheduling is left to the OS, which is fine
 //! because the service's response bodies are a pure function of the
 //! request. See `docs/SERVING.md` for the full determinism contract.
+//!
+//! The module is Linux-only: the event loop is built on epoll and
+//! eventfd, declared directly as raw syscalls.
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("foundation::net is Linux-only: its event loop runs on epoll and eventfd");
 
 mod parser;
 mod poller;
@@ -358,5 +364,53 @@ mod tests {
         assert!(read_response(&mut reader).unwrap().unwrap().is_success());
         handle.shutdown();
         handle.join();
+    }
+
+    #[test]
+    fn a_panicking_handler_answers_500_and_the_server_still_drains() {
+        const WORKERS: usize = 2;
+        const BOUND: Duration = Duration::from_secs(10);
+        let config = ServerConfig {
+            workers: WORKERS,
+            ..ServerConfig::default()
+        };
+        let handle = Server::start(config, |req| {
+            assert_ne!(req.path, "/panic", "this handler panics on /panic");
+            Response::text(200, "ok")
+        })
+        .unwrap();
+        let addr = handle.local_addr();
+        let connect = || {
+            let stream = TcpStream::connect(addr).unwrap();
+            stream.set_read_timeout(Some(BOUND)).unwrap();
+            (stream.try_clone().unwrap(), BufReader::new(stream))
+        };
+        let status = |(writer, reader): &mut (TcpStream, BufReader<TcpStream>), path: &str| {
+            Request::new("GET", path).write_to(writer).unwrap();
+            read_response(reader)
+                .expect("answered within the bound")
+                .expect("connection still open")
+                .status
+        };
+        // More panics than workers: a worker lost per panic would leave
+        // none to answer what follows.
+        let mut conn = connect();
+        for _ in 0..=WORKERS {
+            assert_eq!(status(&mut conn, "/panic"), 500);
+        }
+        assert_eq!(status(&mut conn, "/ok"), 200);
+        assert_eq!(status(&mut connect(), "/ok"), 200);
+        assert_eq!(
+            handle.stats().panics.load(Ordering::Relaxed),
+            WORKERS as u64 + 1
+        );
+        let (done, finished) = std::sync::mpsc::channel();
+        let drain = std::thread::spawn(move || {
+            handle.shutdown();
+            handle.join();
+            let _ = done.send(());
+        });
+        assert!(finished.recv_timeout(BOUND).is_ok(), "drain did not finish");
+        drain.join().expect("the drain thread returned");
     }
 }

@@ -1,18 +1,15 @@
-//! A small readiness-polling abstraction over the OS event queue.
+//! A small readiness-polling abstraction over epoll.
 //!
-//! [`Poller`] wraps epoll on Linux — register an fd with an
+//! [`Poller`] wraps an epoll instance — register an fd with an
 //! [`Interest`], wait, get back [`PollEvent`]s keyed by caller-chosen
 //! tokens. Both level- and edge-triggered registration are supported
 //! (`Interest::edge`); the server core runs level-triggered for
-//! connections and edge-triggered for its waker. On other platforms
-//! [`Poller::new`] reports `io::ErrorKind::Unsupported` — the kqueue
-//! backend is stub-gated here, which keeps the crate compiling
-//! everywhere while the event-loop server stays Linux-only.
+//! connections and edge-triggered for its waker.
 
 use std::io;
 use std::time::Duration;
 
-use super::sys;
+use super::sys as ll;
 
 /// Which readiness transitions a registration watches.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -65,191 +62,13 @@ pub struct PollEvent {
 /// Internal event buffer size per `wait` call.
 const WAIT_BATCH: usize = 256;
 
-#[cfg(target_os = "linux")]
-mod backend {
-    use super::*;
-    use sys::linux as ll;
-
-    /// The epoll-backed poller.
-    #[derive(Debug)]
-    pub struct Poller {
-        epfd: i32,
-    }
-
-    impl Poller {
-        pub(super) fn create() -> io::Result<Poller> {
-            Ok(Poller {
-                epfd: ll::epoll_create()?,
-            })
-        }
-
-        pub(super) fn ctl(
-            &self,
-            op: i32,
-            fd: i32,
-            token: u64,
-            interest: Interest,
-        ) -> io::Result<()> {
-            let mut events = 0u32;
-            if interest.readable {
-                events |= ll::EPOLLIN;
-            }
-            if interest.writable {
-                events |= ll::EPOLLOUT;
-            }
-            if interest.rdhup {
-                events |= ll::EPOLLRDHUP;
-            }
-            if interest.edge {
-                events |= ll::EPOLLET;
-            }
-            ll::epoll_control(self.epfd, op, fd, events, token)
-        }
-
-        pub(super) const ADD: i32 = ll::EPOLL_CTL_ADD;
-        pub(super) const MOD: i32 = ll::EPOLL_CTL_MOD;
-
-        pub(super) fn del(&self, fd: i32) -> io::Result<()> {
-            ll::epoll_control(self.epfd, ll::EPOLL_CTL_DEL, fd, 0, 0)
-        }
-
-        pub(super) fn wait_into(
-            &self,
-            out: &mut Vec<PollEvent>,
-            timeout: Option<Duration>,
-        ) -> io::Result<()> {
-            let timeout_ms = match timeout {
-                None => -1,
-                // Round up so a 0.4 ms deadline does not spin at 0 ms.
-                Some(d) => (d.as_nanos().div_ceil(1_000_000)).min(i32::MAX as u128) as i32,
-            };
-            let mut buf = [ll::EpollEvent { events: 0, data: 0 }; WAIT_BATCH];
-            let n = ll::epoll_pwait(self.epfd, &mut buf, timeout_ms)?;
-            for ev in &buf[..n] {
-                // Copy out of the possibly-packed struct before use.
-                let (events, data) = (ev.events, ev.data);
-                out.push(PollEvent {
-                    token: data,
-                    readable: events & (ll::EPOLLIN | ll::EPOLLERR) != 0,
-                    writable: events & ll::EPOLLOUT != 0,
-                    hangup: events & (ll::EPOLLHUP | ll::EPOLLRDHUP | ll::EPOLLERR) != 0,
-                });
-            }
-            Ok(())
-        }
-    }
-
-    impl Drop for Poller {
-        fn drop(&mut self) {
-            ll::close_fd(self.epfd);
-        }
-    }
-
-    /// eventfd-backed cross-thread waker.
-    #[derive(Debug)]
-    pub struct Waker {
-        fd: i32,
-    }
-
-    impl Waker {
-        pub(super) fn create() -> io::Result<Waker> {
-            Ok(Waker {
-                fd: ll::eventfd_new()?,
-            })
-        }
-
-        pub(super) fn fd(&self) -> i32 {
-            self.fd
-        }
-
-        pub(super) fn wake_impl(&self) {
-            ll::eventfd_wake(self.fd);
-        }
-
-        pub(super) fn drain_impl(&self) {
-            ll::eventfd_drain(self.fd);
-        }
-    }
-
-    impl Drop for Waker {
-        fn drop(&mut self) {
-            ll::close_fd(self.fd);
-        }
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-mod backend {
-    use super::*;
-
-    fn unsupported() -> io::Error {
-        io::Error::new(
-            io::ErrorKind::Unsupported,
-            "readiness polling requires Linux (kqueue backend stub-gated)",
-        )
-    }
-
-    /// Stub poller for non-Linux targets.
-    #[derive(Debug)]
-    pub struct Poller;
-
-    impl Poller {
-        pub(super) fn create() -> io::Result<Poller> {
-            Err(unsupported())
-        }
-
-        pub(super) fn ctl(
-            &self,
-            _op: i32,
-            _fd: i32,
-            _token: u64,
-            _interest: Interest,
-        ) -> io::Result<()> {
-            Err(unsupported())
-        }
-
-        pub(super) const ADD: i32 = 0;
-        pub(super) const MOD: i32 = 1;
-
-        pub(super) fn del(&self, _fd: i32) -> io::Result<()> {
-            Err(unsupported())
-        }
-
-        pub(super) fn wait_into(
-            &self,
-            _out: &mut Vec<PollEvent>,
-            _timeout: Option<Duration>,
-        ) -> io::Result<()> {
-            Err(unsupported())
-        }
-    }
-
-    /// Stub waker for non-Linux targets.
-    #[derive(Debug)]
-    pub struct Waker;
-
-    impl Waker {
-        pub(super) fn create() -> io::Result<Waker> {
-            Err(unsupported())
-        }
-
-        pub(super) fn fd(&self) -> i32 {
-            -1
-        }
-
-        pub(super) fn wake_impl(&self) {}
-
-        pub(super) fn drain_impl(&self) {}
-    }
-}
-
 /// OS readiness queue: register fds with an [`Interest`], then [`wait`]
-/// for [`PollEvent`]s. epoll on Linux; `Unsupported` elsewhere.
+/// for [`PollEvent`]s.
 ///
 /// [`wait`]: Poller::wait
 #[derive(Debug)]
 pub struct Poller {
-    inner: backend::Poller,
+    epfd: i32,
 }
 
 impl Poller {
@@ -257,12 +76,28 @@ impl Poller {
     ///
     /// # Errors
     ///
-    /// `io::ErrorKind::Unsupported` off Linux; otherwise the
-    /// `epoll_create1` failure.
+    /// The `epoll_create1` failure.
     pub fn new() -> io::Result<Poller> {
         Ok(Poller {
-            inner: backend::Poller::create()?,
+            epfd: ll::epoll_create()?,
         })
+    }
+
+    fn ctl(&self, op: i32, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
+        let mut events = 0u32;
+        if interest.readable {
+            events |= ll::EPOLLIN;
+        }
+        if interest.writable {
+            events |= ll::EPOLLOUT;
+        }
+        if interest.rdhup {
+            events |= ll::EPOLLRDHUP;
+        }
+        if interest.edge {
+            events |= ll::EPOLLET;
+        }
+        ll::epoll_control(self.epfd, op, fd, events, token)
     }
 
     /// Registers `fd` under `token`.
@@ -271,7 +106,7 @@ impl Poller {
     ///
     /// The underlying `epoll_ctl` failure (e.g. already registered).
     pub fn register(&self, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
-        self.inner.ctl(backend::Poller::ADD, fd, token, interest)
+        self.ctl(ll::EPOLL_CTL_ADD, fd, token, interest)
     }
 
     /// Replaces the interest set of an already-registered `fd`.
@@ -280,7 +115,7 @@ impl Poller {
     ///
     /// The underlying `epoll_ctl` failure.
     pub fn reregister(&self, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
-        self.inner.ctl(backend::Poller::MOD, fd, token, interest)
+        self.ctl(ll::EPOLL_CTL_MOD, fd, token, interest)
     }
 
     /// Removes `fd` from the poller.
@@ -289,7 +124,7 @@ impl Poller {
     ///
     /// The underlying `epoll_ctl` failure (e.g. not registered).
     pub fn deregister(&self, fd: i32) -> io::Result<()> {
-        self.inner.del(fd)
+        ll::epoll_control(self.epfd, ll::EPOLL_CTL_DEL, fd, 0, 0)
     }
 
     /// Appends ready events to `out` (does not clear it), waiting at
@@ -300,7 +135,30 @@ impl Poller {
     ///
     /// The underlying `epoll_wait` failure.
     pub fn wait(&self, out: &mut Vec<PollEvent>, timeout: Option<Duration>) -> io::Result<()> {
-        self.inner.wait_into(out, timeout)
+        let timeout_ms = match timeout {
+            None => -1,
+            // Round up so a 0.4 ms deadline does not spin at 0 ms.
+            Some(d) => (d.as_nanos().div_ceil(1_000_000)).min(i32::MAX as u128) as i32,
+        };
+        let mut buf = [ll::EpollEvent { events: 0, data: 0 }; WAIT_BATCH];
+        let n = ll::epoll_pwait(self.epfd, &mut buf, timeout_ms)?;
+        for ev in &buf[..n] {
+            // Copy out of the possibly-packed struct before use.
+            let (events, data) = (ev.events, ev.data);
+            out.push(PollEvent {
+                token: data,
+                readable: events & (ll::EPOLLIN | ll::EPOLLERR) != 0,
+                writable: events & ll::EPOLLOUT != 0,
+                hangup: events & (ll::EPOLLHUP | ll::EPOLLRDHUP | ll::EPOLLERR) != 0,
+            });
+        }
+        Ok(())
+    }
+}
+
+impl Drop for Poller {
+    fn drop(&mut self) {
+        ll::close_fd(self.epfd);
     }
 }
 
@@ -310,7 +168,7 @@ impl Poller {
 /// registered edge-triggered in the loop's poller.
 #[derive(Debug)]
 pub struct Waker {
-    inner: backend::Waker,
+    fd: i32,
 }
 
 impl Waker {
@@ -318,27 +176,32 @@ impl Waker {
     ///
     /// # Errors
     ///
-    /// `io::ErrorKind::Unsupported` off Linux; otherwise the
-    /// `eventfd` failure.
+    /// The `eventfd` failure.
     pub fn new() -> io::Result<Waker> {
         Ok(Waker {
-            inner: backend::Waker::create()?,
+            fd: ll::eventfd_new()?,
         })
     }
 
     /// The fd to register in the owning loop's poller.
     pub fn fd(&self) -> i32 {
-        self.inner.fd()
+        self.fd
     }
 
     /// Rings the waker; cheap and safe from any thread.
     pub fn wake(&self) {
-        self.inner.wake_impl();
+        ll::eventfd_wake(self.fd);
     }
 
     /// Drains pending wakeups so the eventfd can ring again (called by
     /// the loop when it sees the waker token).
     pub fn drain(&self) {
-        self.inner.drain_impl();
+        ll::eventfd_drain(self.fd);
+    }
+}
+
+impl Drop for Waker {
+    fn drop(&mut self) {
+        ll::close_fd(self.fd);
     }
 }

@@ -21,6 +21,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -54,8 +55,7 @@ pub struct ServerConfig {
     /// Handler-queue capacity; beyond it requests get `503`.
     pub queue_capacity: usize,
     /// Acceptor shards, each an event loop with its own
-    /// `SO_REUSEPORT` listener. 0 = auto (CPU threads, capped at 8);
-    /// forced to 1 where `SO_REUSEPORT` is unavailable.
+    /// `SO_REUSEPORT` listener. 0 = auto (CPU threads, capped at 8).
     pub shards: usize,
     /// How long a connection may sit on a partially received request
     /// before being closed with `408` (slow-header defense). Idle
@@ -92,6 +92,8 @@ pub struct ServerStats {
     /// Connections closed with `408` after the read deadline expired
     /// mid-request.
     pub timed_out: AtomicU64,
+    /// Requests whose handler panicked (answered `500`).
+    pub panics: AtomicU64,
 }
 
 /// One handler invocation in flight from a loop to the worker pool.
@@ -199,6 +201,13 @@ mod metrics {
         )
     }
 
+    pub(super) fn handler_panics() -> &'static obs::Counter {
+        crate::obs_counter!(
+            "dwm_net_handler_panics_total",
+            "Requests whose handler panicked and were answered 500"
+        )
+    }
+
     /// Touches every transport metric so they exist before traffic.
     pub(super) fn register() {
         let _ = (
@@ -212,6 +221,7 @@ mod metrics {
             readiness_depth(),
             open_conns(),
             timeouts(),
+            handler_panics(),
         );
     }
 }
@@ -726,7 +736,15 @@ fn worker_loop(shared: &Arc<Shared>) {
         metrics::queue_depth().add_always(-1);
         let response = {
             let _span = metrics::handler_latency().span();
-            (shared.handler)(&job.request)
+            // A panic must not take the worker or the request with it:
+            // an unanswered request keeps its connection in `Handling`,
+            // and drain waits for every connection to close.
+            let handled = panic::catch_unwind(AssertUnwindSafe(|| (shared.handler)(&job.request)));
+            handled.unwrap_or_else(|_| {
+                shared.stats.panics.fetch_add(1, Ordering::Relaxed);
+                metrics::handler_panics().inc();
+                Response::text(500, "handler panicked\n")
+            })
         };
         let shard = &shared.shards[job.shard];
         shard
@@ -768,9 +786,7 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates bind/poller-setup failures;
-    /// `io::ErrorKind::Unsupported` on non-Linux targets (the kqueue
-    /// backend is stub-gated).
+    /// Propagates bind/poller-setup failures.
     pub fn start<H>(config: ServerConfig, handler: H) -> io::Result<ServerHandle>
     where
         H: Fn(&Request) -> Response + Send + Sync + 'static,
@@ -780,9 +796,7 @@ impl Server {
         // fd budget — not a 1024 default soft limit — is the ceiling,
         // or a C10k hold would die at accept long before memory.
         sys::raise_nofile_limit();
-        let shard_count = if !sys::REUSEPORT {
-            1
-        } else if config.shards == 0 {
+        let shard_count = if config.shards == 0 {
             crate::par::num_threads().clamp(1, MAX_AUTO_SHARDS)
         } else {
             config.shards
