@@ -20,6 +20,8 @@
 //! [`Harness::bench_threads`] times the same closure at 1 thread and at
 //! [`THREAD_POINTS`]`[1]` threads (via [`crate::par::override_threads`])
 //! and records both, so parallel speedup is visible in every report.
+//! Like [`Harness::bench_pair`], it takes the two sides' samples
+//! alternately under one iteration count.
 
 use std::time::Instant;
 
@@ -166,24 +168,49 @@ impl Harness {
         self.results.push(result);
     }
 
+    /// Takes `self.samples` rounds of one sample per side, the sides in
+    /// turn, under one iteration count calibrated on side 0 and after a
+    /// warmup that alternates the sides too. `run(side, iters)` times
+    /// `iters` calls of that side and returns nanoseconds per call.
+    fn sample_alternating(
+        &self,
+        sides: usize,
+        mut run: impl FnMut(usize, u64) -> f64,
+    ) -> (u64, Vec<Vec<f64>>) {
+        let iters = calibrate(|n| run(0, n));
+        let warmup_deadline = Instant::now();
+        while warmup_deadline.elapsed().as_millis() < self.warmup_ms as u128 {
+            for side in 0..sides {
+                run(side, 1);
+            }
+        }
+        let mut samples = vec![Vec::with_capacity(self.samples); sides];
+        for _ in 0..self.samples {
+            for (side, sample_ns) in samples.iter_mut().enumerate() {
+                sample_ns.push(run(side, iters));
+            }
+        }
+        (iters, samples)
+    }
+
+    /// Records each side's samples under its id, skipping ids the CLI
+    /// filter rules out.
+    fn record_sides(&mut self, ids: &[&str], iters: u64, samples: Vec<Vec<f64>>) {
+        for (id, sample_ns) in ids.iter().zip(samples) {
+            if !self.filtered_out(id) {
+                self.record(id, iters, sample_ns);
+            }
+        }
+    }
+
     /// Times `f`, recording the result under `id`. Skipped (silently)
     /// when a CLI filter is set and `id` does not contain it.
     pub fn bench<R, F: FnMut() -> R>(&mut self, id: &str, mut f: F) {
         if self.filtered_out(id) {
             return;
         }
-        let iters = calibrate(&mut f);
-
-        let warmup_deadline = Instant::now();
-        while warmup_deadline.elapsed().as_millis() < self.warmup_ms as u128 {
-            black_box(f());
-        }
-
-        let mut sample_ns = Vec::with_capacity(self.samples);
-        for _ in 0..self.samples {
-            sample_ns.push(time_sample(&mut f, iters));
-        }
-        self.record(id, iters, sample_ns);
+        let (iters, samples) = self.sample_alternating(1, |_, n| time_sample(&mut f, n));
+        self.record_sides(&[id], iters, samples);
     }
 
     /// Times `fa` and `fb` with *alternating* samples, recording them
@@ -211,26 +238,11 @@ impl Harness {
         if self.filtered_out(id_a) && self.filtered_out(id_b) {
             return;
         }
-        let iters = calibrate(&mut fa);
-
-        let warmup_deadline = Instant::now();
-        while warmup_deadline.elapsed().as_millis() < self.warmup_ms as u128 {
-            black_box(fa());
-            black_box(fb());
-        }
-
-        let mut a_ns = Vec::with_capacity(self.samples);
-        let mut b_ns = Vec::with_capacity(self.samples);
-        for _ in 0..self.samples {
-            a_ns.push(time_sample(&mut fa, iters));
-            b_ns.push(time_sample(&mut fb, iters));
-        }
-        if !self.filtered_out(id_a) {
-            self.record(id_a, iters, a_ns);
-        }
-        if !self.filtered_out(id_b) {
-            self.record(id_b, iters, b_ns);
-        }
+        let (iters, samples) = self.sample_alternating(2, |side, n| match side {
+            0 => time_sample(&mut fa, n),
+            _ => time_sample(&mut fb, n),
+        });
+        self.record_sides(&[id_a, id_b], iters, samples);
     }
 
     /// Times `f` once per entry of [`THREAD_POINTS`], recording
@@ -238,11 +250,22 @@ impl Harness {
     /// each, so the report shows sequential-vs-parallel medians side by
     /// side. The closure should run a `par_*`-based workload for the
     /// comparison to mean anything.
+    ///
+    /// The thread points are sampled alternately under one iteration
+    /// count (calibrated at the first point), as in
+    /// [`bench_pair`](Self::bench_pair), so a gate on their ratio sees
+    /// both sides under the same machine load. The filter applies per
+    /// id, as there.
     pub fn bench_threads<R, F: FnMut() -> R>(&mut self, id: &str, mut f: F) {
-        for threads in THREAD_POINTS {
-            let _guard = crate::par::override_threads(threads);
-            self.bench(&format!("{id}/t{threads}"), &mut f);
+        let ids = THREAD_POINTS.map(|threads| format!("{id}/t{threads}"));
+        if ids.iter().all(|id| self.filtered_out(id)) {
+            return;
         }
+        let (iters, samples) = self.sample_alternating(THREAD_POINTS.len(), |side, n| {
+            let _guard = crate::par::override_threads(THREAD_POINTS[side]);
+            time_sample(&mut f, n)
+        });
+        self.record_sides(&ids.each_ref().map(String::as_str), iters, samples);
     }
 
     /// The collected results so far.
@@ -282,21 +305,19 @@ impl Harness {
 }
 
 /// Grows the per-sample iteration count until one sample costs ≳ 1 ms
-/// (so timer resolution is negligible).
-fn calibrate<R, F: FnMut() -> R>(f: &mut F) -> u64 {
+/// (so timer resolution is negligible). `time(iters)` times one sample
+/// and returns nanoseconds per iteration.
+fn calibrate(mut time: impl FnMut(u64) -> f64) -> u64 {
     let mut iters: u64 = 1;
     loop {
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        let elapsed = start.elapsed();
-        if elapsed.as_micros() >= 1000 || iters >= 1 << 30 {
+        let per_iter = time(iters);
+        if per_iter * iters as f64 >= 1_000_000.0 || iters >= 1 << 30 {
             break;
         }
         // Aim straight at 1.2 ms instead of stepping by doubling.
-        let per_iter = elapsed.as_nanos().max(1) as u64 / iters;
-        iters = (1_200_000 / per_iter.max(1)).max(iters * 2).min(1 << 30);
+        iters = ((1_200_000.0 / per_iter.max(1.0)) as u64)
+            .max(iters * 2)
+            .min(1 << 30);
     }
     iters
 }
@@ -588,6 +609,23 @@ mod tests {
         });
         let ids: Vec<&str> = h.results().iter().map(|r| r.id.as_str()).collect();
         assert_eq!(ids, vec!["tp/t1", "tp/t4"]);
+    }
+
+    #[test]
+    fn bench_threads_alternates_its_thread_points() {
+        let _l = crate::par::TEST_OVERRIDE_LOCK.lock().unwrap();
+        let mut h = tiny();
+        // Each call outlasts the 1-ms calibration target, so every
+        // sample is one call and the log shows the sampling order.
+        let mut seen = Vec::new();
+        h.bench_threads("alt", || {
+            seen.push(crate::par::num_threads());
+            std::thread::sleep(std::time::Duration::from_micros(1100));
+        });
+        // One calibration call at the first point, then 5 rounds.
+        assert_eq!(seen, [1, 1, 4, 1, 4, 1, 4, 1, 4, 1, 4]);
+        let iters: Vec<u64> = h.results().iter().map(|r| r.iters_per_sample).collect();
+        assert_eq!(iters, [1, 1]);
     }
 
     #[test]

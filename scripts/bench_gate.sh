@@ -80,7 +80,9 @@ PAIR=(--pair serve/serve/solve_hit serve/serve/solve_hit_obs_off
 # dominated by what dispatching a parallel call costs. t4 may take at
 # most 1.5x as long as t1 (t1/t4 >= 0.67). Spawning the workers per
 # call cost ~100 us there (t1/t4 0.29 in the BENCH_9 baseline); the
-# persistent pool parks its helpers between calls instead.
+# persistent pool parks its helpers between calls instead. Like the
+# pairs, the two sides are sampled alternately under one iteration
+# count (Harness::bench_threads), so a fast patch lands on both.
 DISPATCH_FLOOR=0.67
 
 # Same-run speedup floors: the window-local local-search kernel, whose
