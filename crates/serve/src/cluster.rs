@@ -169,9 +169,10 @@ impl Cluster {
         }
     }
 
-    /// Cluster `/stats`: routing counters plus each shard's stats
-    /// object verbatim, so per-shard numbers never disagree with what
-    /// that shard would report standalone.
+    /// Cluster `/stats`: routing counters plus each shard's
+    /// [`Engine::stats`] object. Reading them is not a request to any
+    /// shard, so a shard's counters move only with the requests routed
+    /// to it.
     fn stats_response(&self) -> Response {
         let mut routed = Object::new();
         for (i, counter) in self.routed.iter().enumerate() {
@@ -180,19 +181,12 @@ impl Cluster {
         let mut cluster = Object::new();
         cluster.insert("shards", Value::Num(Number::U(self.shards.len() as u64)));
         cluster.insert("routed", Value::Obj(routed));
-        let shard_stats: Vec<Value> = self
-            .shards
-            .iter()
-            .map(|engine| {
-                let resp = engine.handle(&Request::new("GET", "/stats"));
-                resp.body_str()
-                    .and_then(|text| dwm_foundation::json::parse(text).ok())
-                    .unwrap_or(Value::Null)
-            })
-            .collect();
         let mut obj = Object::new();
         obj.insert("cluster", Value::Obj(cluster));
-        obj.insert("shards", Value::Arr(shard_stats));
+        obj.insert(
+            "shards",
+            Value::Arr(self.shards.iter().map(|engine| engine.stats()).collect()),
+        );
         Response::json(200, Value::Obj(obj).to_compact())
     }
 
@@ -304,6 +298,23 @@ mod tests {
             })
             .sum();
         assert_eq!(total, 1);
+        // Reading /stats is not a shard request: a second read reports
+        // the same per-shard request counts.
+        let requests = |stats: &Response| -> Vec<u64> {
+            let value = dwm_foundation::json::parse(stats.body_str().unwrap()).unwrap();
+            let shards = value.as_object().unwrap().get("shards").unwrap();
+            shards
+                .as_array()
+                .unwrap()
+                .iter()
+                .map(|shard| {
+                    let requests = shard.as_object().unwrap().get("requests").unwrap();
+                    requests.as_number().unwrap().as_u64().unwrap()
+                })
+                .collect()
+        };
+        let again = cluster.handle(&Request::new("GET", "/stats"));
+        assert_eq!(requests(&again), requests(&stats));
         // /metrics carries the same family, labelled per shard.
         let metrics = cluster.handle(&Request::new("GET", "/metrics"));
         let exposition = metrics.body_str().unwrap();

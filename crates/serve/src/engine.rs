@@ -7,47 +7,59 @@
 //!
 //! # The solve pipeline
 //!
-//! 1. The body is decoded with [`decode_body`], which reads every
-//!    `ids` array straight into `u32`s (no JSON value per id) and
-//!    keeps the other fields for the knob parsers.
-//! 2. Each workload's ids are condensed into a [`GraphDigest`]: dense
+//! `/solve` has two request forms: the legacy form names a suite
+//! `algorithm`, and the tiered form sets `quality` and/or `deadline_us`.
+//! Both run through one pipeline:
+//!
+//! 1. **Parse.** The body is decoded with [`decode_body`], which reads
+//!    every `ids` array straight into `u32`s (no JSON value per id) and
+//!    keeps the other fields for the knob parsers. The request-level
+//!    fields become one plan: the legacy form's suite algorithm,
+//!    resolved once per request, or the tiered form's knobs.
+//! 2. **Admit.** Every workload is admitted before any cache lookup, so
+//!    a refused request leaves the cache and the solve counters as they
+//!    were. Its ids are condensed into a [`GraphDigest`]: dense
 //!    first-appearance ids (the `Trace::normalize` numbering),
-//!    frequencies and sorted weighted adjacency rows — the exact
-//!    structure every placement algorithm consumes, with no `Trace`,
-//!    tree-map graph or CSR freeze in between.
-//! 3. The digest is hashed (equal bit for bit to
+//!    frequencies and sorted weighted adjacency rows. The track topology
+//!    must hold the workload. In the tiered form, [`anytime::plan`] maps
+//!    the knobs and graph size to a foreground tier — a *pure function
+//!    of the request*, never of measured wall-clock, so tier choice is
+//!    deterministic across machines and thread counts — and a workload
+//!    whose cheapest admissible tier misses `deadline_us` by its modeled
+//!    latency refuses the request with 503.
+//! 3. **Look up.** The digest is hashed (equal bit for bit to
 //!    [`fn@dwm_graph::fingerprint`] of the same graph), with the
 //!    request's track topology folded in (the identity for linear —
 //!    see [`fn@dwm_graph::fingerprint_retag`]); the
-//!    `(fingerprint, algorithm, seed)` triple keys the
-//!    [`SolveCache`]. The cluster router keys on the same function,
-//!    `workload_key`. A hit goes straight to the body splice; only a miss
-//!    (or a queued background upgrade) turns its digest into an
-//!    [`AccessGraph`].
-//! 4. Cache misses within one request are batched onto the
-//!    [`par`] pool — results come back in input order, so the
-//!    response body is independent of `DWM_THREADS`. Each solved
-//!    result is rendered to compact JSON once, and the cache keeps
-//!    those bytes; every body, hit or miss, splices the rendered
-//!    results into `{"cache":[…],"results":[…]}`.
-//! 5. Per-request wall-clock time is attached as the
-//!    `x-dwm-elapsed-us` header, never in the body, keeping bodies a
-//!    pure function of the request.
+//!    `(fingerprint, algorithm, seed)` triple keys the [`SolveCache`],
+//!    where the algorithm is the suite name, or the tier-independent
+//!    [`ANYTIME_ALGORITHM`] for the tiered form. The cluster router keys
+//!    on the same function, `workload_key`. Only `quality:"exact"`
+//!    filters what a hit may serve: it takes only a tier-3 record.
+//! 4. **Solve.** The misses of one request are batched onto the [`par`]
+//!    pool — results come back in input order, so the response body is
+//!    independent of `DWM_THREADS`. Each miss turns its digest into an
+//!    [`AccessGraph`](dwm_graph::AccessGraph), is solved by the suite
+//!    algorithm or at its planned tier, and is rendered to compact JSON
+//!    once; background upgrades run the same step.
+//! 5. **Insert and answer.** Misses are cached as those bytes, and every
+//!    body, hit or miss, splices the rendered results into
+//!    `{"cache":[…],"results":[…]}`. A legacy label is a bare
+//!    `"hit"`/`"miss"`; a tiered label is an object with the record's
+//!    tier, solver, version and upgrade count. A tiered miss counts its
+//!    tier, and a request with `deadline_us` counts as met or missed.
+//!    Per-request wall-clock time is attached as the `x-dwm-elapsed-us`
+//!    header, never in the body, keeping bodies a pure function of the
+//!    request.
 //!
-//! # Tiered solves
+//! # Background upgrades
 //!
-//! The `quality` / `deadline_us` request form routes through the
-//! anytime solver instead of a named algorithm: [`anytime::plan`] maps
-//! the knobs and graph size to a foreground tier — a *pure function of
-//! the request*, never of measured wall-clock, so tier choice is
-//! deterministic across machines and thread counts. Tiered results are
-//! cached under the tier-independent [`ANYTIME_ALGORITHM`] name with
-//! versioned records; `quality:"best"` additionally enqueues a tier-2
-//! re-solve on an idle-priority [`par::IdleLane`] that only runs while
-//! no request is in flight and rewrites the cache record in place when
-//! strictly better. An upgrade is observable only through the
-//! response's versioned `cache` labels — for a fixed record version,
-//! bodies stay byte-deterministic.
+//! `quality:"best"` enqueues a tier-2 re-solve of each workload whose
+//! record is below tier 2, on an idle-priority [`par::IdleLane`] that
+//! only runs while no request is in flight and rewrites the cache
+//! record in place when strictly better. An upgrade is observable only
+//! through the response's versioned `cache` labels — for a fixed
+//! record version, bodies stay byte-deterministic.
 //!
 //! # Observability
 //!
@@ -75,14 +87,14 @@ use dwm_foundation::json::{Number, Object, ToJson, Value};
 use dwm_foundation::net::{Request, Response};
 use dwm_foundation::obs::{self, FnKind};
 use dwm_foundation::par;
-use dwm_graph::{fingerprint_retag, AccessGraph, Fingerprint, GraphDigest};
+use dwm_graph::{fingerprint_retag, Fingerprint, GraphDigest};
 use dwm_sim::SpmSimulator;
 use dwm_trace::Trace;
 
 use crate::cache::{CacheKey, CacheRecord, SolveCache};
 use crate::protocol::{
     decode_body, error_body, opt_f64, opt_str, opt_u64, parse_body, parse_session_knobs,
-    parse_tier_knobs, parse_topology, parse_usize_array, ProtocolError, RequestBody, TierKnobs,
+    parse_tier_knobs, parse_topology, parse_usize_array, ProtocolError, TierKnobs,
 };
 use crate::session::{SessionConfig, SessionState, SessionTable};
 
@@ -478,7 +490,7 @@ impl Engine {
         }
         match (req.method.as_str(), req.path.as_str()) {
             ("GET", "/health") => Ok(self.health()),
-            ("GET", "/stats") => Ok(self.stats_response()),
+            ("GET", "/stats") => Ok(Response::json(200, self.stats().to_compact())),
             ("GET", "/metrics") => Ok(self.metrics_response()),
             ("POST", "/solve") => {
                 self.solves.inc_always();
@@ -512,7 +524,11 @@ impl Engine {
         Response::json(200, Value::Obj(obj).to_compact())
     }
 
-    fn stats_response(&self) -> Response {
+    /// The engine's `/stats` object: request, cache, tier, topology,
+    /// upgrade, deadline and session counters. Reading it is not a
+    /// request, so the cluster front builds its per-shard objects from
+    /// it without moving any shard's counters.
+    pub fn stats(&self) -> Value {
         let cache = self.cache.stats();
         let mut c = Object::new();
         c.insert("hits", Value::Num(Number::U(cache.hits)));
@@ -582,7 +598,7 @@ impl Engine {
         d.insert("infeasible", count(&self.deadline_infeasible));
         obj.insert("deadline", Value::Obj(d));
         obj.insert("sessions", Value::Obj(s));
-        Response::json(200, Value::Obj(obj).to_compact())
+        Value::Obj(obj)
     }
 
     fn metrics_response(&self) -> Response {
@@ -594,183 +610,104 @@ impl Engine {
         }
     }
 
+    /// `POST /solve`, one pipeline for both request forms: the request
+    /// is parsed once into a [`SolvePlan`], every workload is admitted,
+    /// then come one lookup pass, one batched solve of the misses and
+    /// one insert pass. Admission precedes every lookup, so a refused
+    /// request changes no cache entry and no counter but its refusal's
+    /// own.
     fn solve(&self, req: &Request) -> Result<Response, ProtocolError> {
         let decoded = decode_body(&req.body)?;
         let obj = decoded.fields();
-        if let Some(knobs) = parse_tier_knobs(obj)? {
-            return self.solve_tiered(&decoded, knobs);
-        }
-        let algorithm = opt_str(obj, "algorithm", "hybrid")?;
+        // Request-level errors take precedence in this order: tier knobs,
+        // `algorithm`, `seed`, `topology`, an unknown algorithm name, and
+        // then the workloads.
+        let knobs = parse_tier_knobs(obj)?;
+        // The deadline clock starts once the body is decoded.
+        let started = Instant::now();
+        // The cache key's algorithm: the suite name, or `anytime`.
+        let algorithm = match knobs {
+            Some(_) => ANYTIME_ALGORITHM.to_owned(),
+            None => opt_str(obj, "algorithm", "hybrid")?,
+        };
         let seed = opt_u64(obj, "seed", 1)?;
         let topology = parse_topology(obj)?;
-        if resolve_algorithm(&algorithm, seed).is_none() {
-            return Err(ProtocolError::bad_request(format!(
-                "unknown algorithm {algorithm:?}; expected one of {}",
-                algorithm_names().join(", ")
-            )));
-        }
-        let workloads = decoded.workloads()?;
+        let plan = match knobs {
+            Some(knobs) => SolvePlan::Tiered(knobs),
+            None => {
+                let named = standard_suite(seed)
+                    .into_iter()
+                    .find(|a| a.name() == algorithm);
+                SolvePlan::Named(named.ok_or_else(|| {
+                    ProtocolError::bad_request(format!(
+                        "unknown algorithm {algorithm:?}; expected one of {}",
+                        algorithm_names().join(", ")
+                    ))
+                })?)
+            }
+        };
 
-        // Digest every workload and consult the cache. The topology is
-        // folded into the fingerprint (the identity for linear), so the
-        // same adjacency structure solved for two geometries never
-        // shares a cache record.
-        let mut labels = Vec::with_capacity(workloads.len());
-        let mut results = Vec::with_capacity(workloads.len());
-        let mut misses: Vec<(usize, CacheKey, GraphDigest)> = Vec::new();
-        for (i, ids) in workloads.iter().enumerate() {
+        // Admission. Per workload, the topology must hold it, and a
+        // tiered workload must pass `admit_tier`.
+        let workloads = decoded.workloads()?;
+        let mut admitted: Vec<Admitted<'_>> = Vec::with_capacity(workloads.len());
+        for (i, ids) in workloads.into_iter().enumerate() {
             let (digest, fingerprint) = workload_key(ids, &topology);
+            let (n, m) = (digest.num_items(), digest.num_edges());
             topology
-                .validate_for(digest.num_items())
+                .validate_for(n)
                 .map_err(|e| ProtocolError::bad_request(format!("workload {i}: {e}")))?;
-            self.topology_solves[topology.kind().index()].inc_always();
+            let method = match &plan {
+                SolvePlan::Named(suite) => Method::Named(suite.as_ref()),
+                SolvePlan::Tiered(knobs) => Method::Tiered(self.admit_tier(*knobs, i, n, m)?),
+            };
             let key = CacheKey {
                 fingerprint,
                 algorithm: algorithm.clone(),
                 seed,
             };
-            match self.cache.get(&key) {
-                Some(record) => {
-                    labels.push(Value::Str("hit".into()));
-                    results.push(Some(record.value));
-                }
-                None => {
-                    labels.push(Value::Str("miss".into()));
-                    results.push(None);
-                    misses.push((i, key, digest));
-                }
-            }
+            admitted.push((key, digest, method));
         }
 
-        // Batch all misses in this request onto the worker pool;
-        // par_map returns results in input order, so the response body
-        // is identical at any thread count.
-        let solved = par::par_map(&misses, |(_, key, digest)| {
-            let algo =
-                resolve_algorithm(&key.algorithm, key.seed).expect("algorithm validated above");
-            let graph = digest.to_graph();
-            render_result(&graph, key, &algo.place(&graph), &topology)
-        });
-        for ((slot, key, _), (value, cost)) in misses.into_iter().zip(solved) {
-            let solver = key.algorithm.clone();
-            self.cache
-                .insert(key, CacheRecord::fresh(Arc::clone(&value), cost, 0, solver));
-            results[slot] = Some(value);
-        }
-        Ok(solve_response(labels, results))
-    }
-
-    /// The tiered `/solve` form: `quality` / `deadline_us` select a
-    /// foreground tier via [`anytime::plan`] — a pure function of the
-    /// request, never of measured wall-clock — and `quality:"best"`
-    /// additionally enqueues a background tier-2 upgrade per workload.
-    /// Wall-clock is only compared against the deadline *after* the
-    /// response is built, feeding the deadline met/missed counters.
-    fn solve_tiered(
-        &self,
-        decoded: &RequestBody,
-        knobs: TierKnobs,
-    ) -> Result<Response, ProtocolError> {
-        let started = Instant::now();
-        let obj = decoded.fields();
-        let seed = opt_u64(obj, "seed", 1)?;
-        let topology = parse_topology(obj)?;
-        let workloads = decoded.workloads()?;
-
-        let mut labels = Vec::with_capacity(workloads.len());
-        let mut results = Vec::with_capacity(workloads.len());
-        let mut misses: Vec<(usize, CacheKey, GraphDigest, TierPlan)> = Vec::new();
-        for (i, ids) in workloads.iter().enumerate() {
-            let (digest, fingerprint) = workload_key(ids, &topology);
-            topology
-                .validate_for(digest.num_items())
-                .map_err(|e| ProtocolError::bad_request(format!("workload {i}: {e}")))?;
+        let mut resident = Vec::with_capacity(admitted.len());
+        let mut misses = Vec::new();
+        for workload @ (key, _, method) in &admitted {
             self.topology_solves[topology.kind().index()].inc_always();
-            let (n, m) = (digest.num_items(), digest.num_edges());
-            if knobs.quality == Quality::Exact && n > anytime::EXACT_PLAN_LIMIT {
-                return Err(ProtocolError::bad_request(format!(
-                    "quality \"exact\" is limited to {} items; workload {i} touches {n}",
-                    anytime::EXACT_PLAN_LIMIT
-                )));
+            let record = self.cache.get(key).filter(|r| method.accepts(r.tier));
+            if record.is_none() {
+                misses.push(workload);
             }
-            let plan = anytime::plan(knobs.quality, knobs.deadline_us, n, m);
-            // Admission control: `plan` already picked the cheapest
-            // admissible tier, so if even that tier's modeled latency
-            // exceeds the deadline, no tier fits — refuse up front
-            // (before any cache consult or solve) instead of knowingly
-            // answering late.
-            if let Some(deadline) = knobs.deadline_us {
-                let need = anytime::estimate_us(plan.tier, n, m);
-                if need > deadline {
-                    self.deadline_infeasible.inc_always();
-                    return Err(ProtocolError {
-                        status: 503,
-                        message: format!(
-                            "deadline_us {deadline} is infeasible for workload {i}: the \
-                             cheapest admissible tier ({}) needs an estimated {need} us",
-                            plan.tier.label()
-                        ),
-                    });
-                }
-            }
-            let key = CacheKey {
-                fingerprint,
-                algorithm: ANYTIME_ALGORITHM.to_owned(),
-                seed,
-            };
-            // An exact request only accepts a resident record that is
-            // itself exact — a heuristic tier cached under the same key
-            // must not masquerade as the optimum, so it re-solves (and
-            // the exact record then overwrites it for everyone).
-            let resident = self.cache.get(&key).filter(|record| {
-                knobs.quality != Quality::Exact || record.tier == Tier::Exact.index()
-            });
-            match resident {
-                Some(record) => {
-                    // A hit serves whatever tier is resident — the
-                    // label reports the truth, and `best` still queues
-                    // an upgrade if the record isn't tier 2 yet.
-                    if plan.upgrade && record.tier < Tier::Thorough.index() {
-                        self.schedule_upgrade(key, digest, seed, topology);
-                    }
-                    labels.push(cache_label("hit", &record));
-                    results.push(Some(record.value));
-                }
-                None => {
-                    labels.push(Value::Null);
-                    results.push(None);
-                    misses.push((i, key, digest, plan));
-                }
-            }
+            resident.push(record);
         }
+        // par_map returns results in input order, so the body is the
+        // same at any thread count.
+        let mut solved = par::par_map(&misses, |(key, digest, method)| {
+            solve_digest(digest, key, &topology, *method)
+        })
+        .into_iter();
 
-        // Batch the misses exactly like the legacy path; each workload
-        // solves at its planned tier.
-        let solved = par::par_map(&misses, |(_, key, digest, plan)| {
-            let graph = digest.to_graph();
-            let outcome = AnytimeSolver::new(seed).solve(&graph, plan.tier, plan.passes);
-            let (value, cost) = render_result(&graph, key, &outcome.placement, &topology);
-            (value, cost, outcome)
-        });
-        for ((slot, key, digest, plan), (value, cost, outcome)) in misses.into_iter().zip(solved) {
-            self.tier_solves[usize::from(outcome.tier.index())].inc_always();
-            let record = CacheRecord::fresh(
-                Arc::clone(&value),
-                cost,
-                outcome.tier.index(),
-                outcome.solver,
-            );
-            labels[slot] = cache_label("miss", &record);
-            if plan.upgrade && outcome.tier != Tier::Thorough {
-                self.cache.insert(key.clone(), record);
-                self.schedule_upgrade(key, digest, seed, topology);
-            } else {
-                self.cache.insert(key, record);
-            }
-            results[slot] = Some(value);
+        let mut labels = Vec::with_capacity(admitted.len());
+        let mut results = Vec::with_capacity(admitted.len());
+        for ((key, digest, method), hit) in admitted.into_iter().zip(resident) {
+            // A hit serves whatever tier is resident: the label reports
+            // it, and `best` still queues an upgrade below tier 2.
+            let (status, record) = match hit {
+                Some(record) => ("hit", record),
+                None => {
+                    let record = solved.next().expect("one solve per miss");
+                    if let Method::Tiered(_) = method {
+                        self.tier_solves[usize::from(record.tier)].inc_always();
+                    }
+                    self.cache.insert(key.clone(), record.clone());
+                    ("miss", record)
+                }
+            };
+            labels.push(method.label(status, &record));
+            self.schedule_upgrade((key, digest, method), record.tier, topology);
+            results.push(record.value);
         }
         let response = solve_response(labels, results);
-        if let Some(deadline) = knobs.deadline_us {
+        if let Some(deadline) = knobs.and_then(|knobs| knobs.deadline_us) {
             if started.elapsed().as_micros() as u64 <= deadline {
                 self.deadline_met.inc_always();
             } else {
@@ -780,14 +717,52 @@ impl Engine {
         Ok(response)
     }
 
-    /// Enqueues a background tier-2 solve for `key` on the idle lane.
-    /// At most one upgrade per key is ever in flight; results land via
-    /// [`SolveCache::upgrade`], which only applies strict improvements.
-    /// The lane is weighted by the record's cache-hit count, so when
-    /// upgrades queue up, the hottest fingerprints upgrade first. The
-    /// workload's graph is built from `digest` on the lane, off the
-    /// request path.
-    fn schedule_upgrade(&self, key: CacheKey, digest: GraphDigest, seed: u64, topology: Topology) {
+    /// Plans tiered workload `i` of `n` items and `m` edges, or refuses
+    /// the request: `exact` must be within its size limit, and the tier
+    /// [`anytime::plan`] picks (the cheapest admissible one) must fit
+    /// `deadline_us` by its modeled latency, or the request is refused
+    /// with 503 instead of knowingly answered late.
+    fn admit_tier(
+        &self,
+        knobs: TierKnobs,
+        i: usize,
+        n: usize,
+        m: usize,
+    ) -> Result<TierPlan, ProtocolError> {
+        if knobs.quality == Quality::Exact && n > anytime::EXACT_PLAN_LIMIT {
+            return Err(ProtocolError::bad_request(format!(
+                "quality \"exact\" is limited to {} items; workload {i} touches {n}",
+                anytime::EXACT_PLAN_LIMIT
+            )));
+        }
+        let plan = anytime::plan(knobs.quality, knobs.deadline_us, n, m);
+        let need = anytime::estimate_us(plan.tier, n, m);
+        if let Some(deadline) = knobs.deadline_us.filter(|&d| need > d) {
+            self.deadline_infeasible.inc_always();
+            return Err(ProtocolError {
+                status: 503,
+                message: format!(
+                    "deadline_us {deadline} is infeasible for workload {i}: the \
+                     cheapest admissible tier ({}) needs an estimated {need} us",
+                    plan.tier.label()
+                ),
+            });
+        }
+        Ok(plan)
+    }
+
+    /// Enqueues a background tier-2 solve of a workload on the idle lane
+    /// when its `method` asks for one (`quality:"best"`) and its record,
+    /// now at `tier`, is below tier 2. At most one upgrade per key is
+    /// ever in flight; results land via [`SolveCache::upgrade`], which
+    /// only applies strict improvements. The lane is weighted by the
+    /// record's cache-hit count, so when upgrades queue up, the hottest
+    /// fingerprints upgrade first.
+    fn schedule_upgrade(&self, (key, digest, method): Admitted<'_>, tier: u8, topology: Topology) {
+        let wanted = matches!(method, Method::Tiered(plan) if plan.upgrade);
+        if !wanted || tier >= Tier::Thorough.index() {
+            return;
+        }
         let Some(lane) = &self.lane else { return };
         {
             let mut inflight = self
@@ -803,11 +778,8 @@ impl Engine {
         let inflight = Arc::clone(&self.inflight_upgrades);
         let weight = self.cache.hit_count(&key);
         lane.submit_weighted(weight, move || {
-            let graph = digest.to_graph();
-            let outcome =
-                AnytimeSolver::new(seed).solve(&graph, Tier::Thorough, anytime::MAX_PASSES);
-            let (value, cost) = render_result(&graph, &key, &outcome.placement, &topology);
-            cache.upgrade(&key, value, cost, outcome.tier.index(), outcome.solver);
+            let record = solve_digest(&digest, &key, &topology, Method::THOROUGH);
+            cache.upgrade(&key, record.value, record.cost, record.tier, record.solver);
             inflight.lock().expect("inflight set poisoned").remove(&key);
         });
     }
@@ -1167,9 +1139,65 @@ pub fn algorithm_names() -> Vec<String> {
     standard_suite(0).iter().map(|a| a.name()).collect()
 }
 
-/// Instantiates a suite algorithm by name.
-fn resolve_algorithm(name: &str, seed: u64) -> Option<Box<dyn PlacementAlgorithm>> {
-    standard_suite(seed).into_iter().find(|a| a.name() == name)
+/// A `/solve` request's plan, parsed once: the legacy form's suite
+/// algorithm or the tiered form's knobs. The two forms differ only in
+/// the data held here and in the [`Method`] it gives each workload.
+enum SolvePlan {
+    /// The legacy `algorithm` form: one suite algorithm, resolved once
+    /// per request.
+    Named(Box<dyn PlacementAlgorithm>),
+    /// The `quality` / `deadline_us` form: each workload is solved at
+    /// the tier [`anytime::plan`] picks for it.
+    Tiered(TierKnobs),
+}
+
+/// One admitted workload: its cache key, its digest, and how a miss is
+/// solved.
+type Admitted<'p> = (CacheKey, GraphDigest, Method<'p>);
+
+/// How one workload is solved: by the request's suite algorithm, or on
+/// the anytime ladder as planned. The two request forms differ per
+/// workload only in what this decides: which resident records serve,
+/// the label shape, and whether a miss counts a tier or queues an
+/// upgrade.
+#[derive(Clone, Copy)]
+enum Method<'p> {
+    Named(&'p dyn PlacementAlgorithm),
+    Tiered(TierPlan),
+}
+
+impl Method<'_> {
+    /// The background upgrade: tier 2 at the full pass budget.
+    const THOROUGH: Method<'static> = Method::Tiered(TierPlan {
+        tier: Tier::Thorough,
+        passes: anytime::MAX_PASSES,
+        upgrade: false,
+    });
+
+    /// Whether a resident record at `tier` serves this workload. An
+    /// exact plan takes only an exact record: a heuristic tier cached
+    /// under the same key must not masquerade as the optimum, so it
+    /// re-solves (and the exact record then replaces it for everyone).
+    fn accepts(&self, tier: u8) -> bool {
+        !matches!(self, Method::Tiered(plan) if plan.tier == Tier::Exact)
+            || tier == Tier::Exact.index()
+    }
+
+    /// A workload's `cache` label: the bare status for a suite
+    /// algorithm, and on the ladder an object carrying the record's
+    /// provenance and upgrade lineage.
+    fn label(&self, status: &str, record: &CacheRecord<Arc<str>>) -> Value {
+        if let Method::Named(_) = self {
+            return Value::Str(status.into());
+        }
+        let mut obj = Object::new();
+        obj.insert("status", Value::Str(status.into()));
+        obj.insert("tier", Value::Num(Number::U(u64::from(record.tier))));
+        obj.insert("solver", Value::Str(record.solver.clone()));
+        obj.insert("version", Value::Num(Number::U(record.version)));
+        obj.insert("upgrades", Value::Num(Number::U(record.upgrades)));
+        Value::Obj(obj)
+    }
 }
 
 /// The cache identity of one workload: the digest of its ids, and the
@@ -1182,11 +1210,13 @@ pub(crate) fn workload_key(ids: &[u32], topology: &Topology) -> (GraphDigest, Fi
     (digest, fingerprint)
 }
 
-/// Renders the memoized result for one solved workload, shared by
-/// legacy solves, tiered solves and background upgrades: the object
-/// is built once and rendered to compact JSON once, and the cache
-/// keeps those bytes. Returns them with the placement's arrangement
-/// cost, the record's strict-improvement bar.
+/// Turns a workload's digest into its graph, solves it by `method` and
+/// renders the result: the one step that foreground misses of both
+/// forms and background upgrades share. The result object is built and
+/// rendered to compact JSON once, and the cache keeps those bytes, with
+/// the placement's arrangement cost as the record's strict-improvement
+/// bar. A suite algorithm's record is tier 0, with the algorithm as its
+/// solver.
 ///
 /// Costs come from a single-port [`TopologyCost`], whose linear case is
 /// pinned byte-identical to the pre-topology `SinglePortCost`, so the
@@ -1196,16 +1226,25 @@ pub(crate) fn workload_key(ids: &[u32], topology: &Topology) -> (GraphDigest, Fi
 /// Tier and solver provenance live in the response's `cache` labels,
 /// not here, so a background upgrade is observable only through the
 /// versioned `cache` field.
-fn render_result(
-    graph: &AccessGraph,
+fn solve_digest(
+    digest: &GraphDigest,
     key: &CacheKey,
-    placement: &Placement,
     topology: &Topology,
-) -> (Arc<str>, u64) {
+    method: Method<'_>,
+) -> CacheRecord<Arc<str>> {
+    let graph = digest.to_graph();
+    let (placement, tier, solver) = match method {
+        Method::Named(algorithm) => (algorithm.place(&graph), 0, key.algorithm.clone()),
+        Method::Tiered(plan) => {
+            let outcome = AnytimeSolver::new(key.seed).solve(&graph, plan.tier, plan.passes);
+            let solver = outcome.solver.to_owned();
+            (outcome.placement, outcome.tier.index(), solver)
+        }
+    };
     let n = graph.num_items();
     let cost_model = TopologyCost::single_port(*topology, n);
-    let naive = cost_model.graph_cost(&Placement::identity(n), graph);
-    let cost = cost_model.graph_cost(placement, graph);
+    let naive = cost_model.graph_cost(&Placement::identity(n), &graph);
+    let cost = cost_model.graph_cost(&placement, &graph);
     let reduction = if naive > 0 {
         ((naive - naive.min(cost)) as f64) * 100.0 / naive as f64
     } else {
@@ -1233,15 +1272,16 @@ fn render_result(
                 .collect(),
         ),
     );
-    (Value::Obj(obj).to_compact().into(), cost)
+    let value: Arc<str> = Value::Obj(obj).to_compact().into();
+    CacheRecord::fresh(value, cost, tier, solver)
 }
 
 /// The `/solve` body: the compact rendering of
 /// `{"cache":[labels…],"results":[results…]}`, with each workload's
 /// rendered result bytes spliced in as they are.
-fn solve_response(labels: Vec<Value>, results: Vec<Option<Arc<str>>>) -> Response {
+fn solve_response(labels: Vec<Value>, results: Vec<Arc<str>>) -> Response {
     let labels = Value::Arr(labels).to_compact();
-    let len: usize = results.iter().flatten().map(|r| r.len() + 1).sum();
+    let len: usize = results.iter().map(|r| r.len() + 1).sum();
     let mut body = String::with_capacity(len + labels.len() + 24);
     body.push_str("{\"cache\":");
     body.push_str(&labels);
@@ -1250,28 +1290,18 @@ fn solve_response(labels: Vec<Value>, results: Vec<Option<Arc<str>>>) -> Respons
         if i > 0 {
             body.push(',');
         }
-        body.push_str(result.as_deref().expect("every workload resolved"));
+        body.push_str(result);
     }
     body.push_str("]}");
     Response::json(200, body)
-}
-
-/// The per-workload `cache` label for tiered solves: an object carrying
-/// the resident record's provenance and upgrade lineage.
-fn cache_label(status: &str, record: &CacheRecord<Arc<str>>) -> Value {
-    let mut obj = Object::new();
-    obj.insert("status", Value::Str(status.into()));
-    obj.insert("tier", Value::Num(Number::U(u64::from(record.tier))));
-    obj.insert("solver", Value::Str(record.solver.clone()));
-    obj.insert("version", Value::Num(Number::U(record.version)));
-    obj.insert("upgrades", Value::Num(Number::U(record.upgrades)));
-    Value::Obj(obj)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dwm_foundation::json::parse;
+    use dwm_foundation::{require, require_eq, Checker, Rng};
+    use std::panic::AssertUnwindSafe;
 
     fn engine() -> Engine {
         Engine::new(256)
@@ -1563,6 +1593,204 @@ mod tests {
         ));
         assert_eq!(warm.status, 200);
         assert_eq!(e.handle(&req).status, 503);
+
+        // A refused batch leaves the cache and the counters alone, even
+        // when a workload ahead of the refused one is resident: every
+        // workload is admitted before any lookup.
+        let small = "[0,1,0,2,3,1]";
+        let large: Vec<String> = (0..400u32).chain([0]).map(|i| i.to_string()).collect();
+        let large = format!("[{}]", large.join(","));
+        let balanced = format!(r#"{{"quality":"balanced","ids":{small}}}"#);
+        assert_eq!(
+            e.handle(&Request::post("/solve", balanced.as_str())).status,
+            200
+        );
+        let before = solve_side_effects(&e);
+        let refused = format!(
+            r#"{{"workloads":[{{"ids":{small}}},{{"ids":{large}}}],"quality":"best","deadline_us":100}}"#
+        );
+        let resp = e.handle(&Request::post("/solve", refused.as_str()));
+        assert_eq!(resp.status, 503, "{:?}", resp.body_str());
+        assert_eq!(solve_side_effects(&e), before, "refused tiered batch");
+        // The legacy form: a 2x2 grid holds 4 words, and the second
+        // workload needs 5.
+        let grid =
+            |workloads: &str| format!(r#"{{"topology":"grid2d:2x2","workloads":[{workloads}]}}"#);
+        let resident = grid(r#"{"ids":[0,1,0,2,3,1]}"#);
+        assert_eq!(
+            e.handle(&Request::post("/solve", resident.as_str())).status,
+            200
+        );
+        let before = solve_side_effects(&e);
+        let refused = grid(r#"{"ids":[0,1,0,2,3,1]},{"ids":[0,1,2,3,4]}"#);
+        let resp = e.handle(&Request::post("/solve", refused.as_str()));
+        assert_eq!(resp.status, 400, "{:?}", resp.body_str());
+        assert_eq!(solve_side_effects(&e), before, "refused legacy batch");
+    }
+
+    /// The `/stats` numbers a refused `/solve` must leave unchanged:
+    /// cache hits, misses and entries, upgrades enqueued, and the solves
+    /// per topology.
+    fn solve_side_effects(e: &Engine) -> Vec<u64> {
+        let s = body_obj(&e.handle(&Request::new("GET", "/stats")));
+        let field =
+            |group: &str, name: &str| label_field(s.get(group).unwrap().as_object().unwrap(), name);
+        let mut numbers = vec![
+            field("cache", "hits"),
+            field("cache", "misses"),
+            field("cache", "entries"),
+            field("upgrades", "enqueued"),
+        ];
+        numbers.extend(TopologyKind::ALL.map(|kind| field("topologies", kind.label())));
+        numbers
+    }
+
+    /// Random request-level `/solve` fields for the protocol property,
+    /// drawn from both request forms, valid or not.
+    fn random_solve_fields(rng: &mut Rng) -> Vec<String> {
+        let mut fields = Vec::new();
+        let pick = |rng: &mut Rng, weights: &[f64]| rng.choose_weighted(weights).unwrap();
+        let names = algorithm_names();
+        match pick(rng, &[0.3, 0.05, 0.65]) {
+            0 => fields.push(format!(r#""algorithm":"{}""#, rng.choose(&names).unwrap())),
+            1 => fields.push(r#""algorithm":"quantum""#.to_owned()),
+            _ => {}
+        }
+        // A named algorithm mostly comes without tier knobs: the two are
+        // refused together, and that one answer should not crowd out
+        // the rest.
+        if fields.is_empty() || rng.gen_bool(0.15) {
+            let qualities = ["fast", "balanced", "best", "exact", "turbo"];
+            let weights = [0.13, 0.13, 0.13, 0.13, 0.05, 0.43];
+            if let Some(quality) = qualities.get(pick(rng, &weights)) {
+                fields.push(format!(r#""quality":"{quality}""#));
+            }
+            match pick(rng, &[0.1, 0.2, 0.15, 0.55]) {
+                0 => fields.push(r#""deadline_us":0"#.to_owned()),
+                // Around the modeled tier-0 latency of 1-20 items.
+                1 => fields.push(format!(r#""deadline_us":{}"#, rng.gen_range(35..70u64))),
+                2 => fields.push(format!(r#""deadline_us":{}"#, u64::MAX)),
+                _ => {}
+            }
+        }
+        if rng.gen_bool(0.5) {
+            fields.push(format!(r#""seed":{}"#, rng.gen_range(0..3u64)));
+        }
+        let topologies = [
+            "linear",
+            "ring",
+            "grid2d:2x2",
+            "grid2d:3x3",
+            "grid2d:4x5",
+            "mobius",
+        ];
+        if let Some(topology) = topologies.get(pick(rng, &[0.1, 0.15, 0.1, 0.1, 0.1, 0.05, 0.4])) {
+            fields.push(format!(r#""topology":"{topology}""#));
+        }
+        fields
+    }
+
+    /// One random `/solve` body with `fields`, and the number of
+    /// workloads it carries. Each workload is new or repeats one from
+    /// `pool`, so a batch can mix resident and new workloads.
+    fn random_solve_body(
+        rng: &mut Rng,
+        fields: &[String],
+        pool: &mut Vec<String>,
+    ) -> (String, usize) {
+        let mut fields = fields.to_vec();
+        let count = rng.gen_range(1..4usize);
+        let workloads: Vec<String> = (0..count)
+            .map(|_| {
+                let repeat = rng
+                    .gen_bool(0.4)
+                    .then(|| rng.choose(pool).cloned())
+                    .flatten();
+                if let Some(ids) = repeat {
+                    ids
+                } else {
+                    let items = rng.gen_range(1..21u32);
+                    let mut raw: Vec<u32> = (0..items)
+                        .map(|k| match k {
+                            0 => 0,
+                            1 => u32::MAX,
+                            _ => rng.next_u32(),
+                        })
+                        .collect();
+                    rng.shuffle(&mut raw);
+                    let extra = rng.gen_range(0..(3 * items as usize));
+                    for _ in 0..extra {
+                        let id = raw[rng.gen_range(0..items as usize)];
+                        raw.push(id);
+                    }
+                    let ids: Vec<String> = raw.iter().map(u32::to_string).collect();
+                    let ids = format!("[{}]", ids.join(","));
+                    pool.push(ids.clone());
+                    ids
+                }
+            })
+            .collect();
+        if count == 1 && rng.gen_bool(0.5) {
+            fields.push(format!(r#""ids":{}"#, workloads[0]));
+        } else {
+            let entries: Vec<String> = workloads
+                .iter()
+                .map(|w| format!(r#"{{"ids":{w}}}"#))
+                .collect();
+            fields.push(format!(r#""workloads":[{}]"#, entries.join(",")));
+        }
+        rng.shuffle(&mut fields);
+        (format!("{{{}}}", fields.join(",")), count)
+    }
+
+    #[test]
+    fn random_solve_sequences_keep_the_protocol_contract() {
+        Checker::new("random_solve_sequences_keep_the_protocol_contract").run(
+            |rng| {
+                // Half the requests keep the previous request's fields,
+                // so repeated workloads can hit the cache.
+                let mut pool = Vec::new();
+                let mut fields = random_solve_fields(rng);
+                let len = rng.gen_range(2..7usize);
+                (0..len)
+                    .map(|_| {
+                        if rng.gen_bool(0.5) {
+                            fields = random_solve_fields(rng);
+                        }
+                        random_solve_body(rng, &fields, &mut pool)
+                    })
+                    .collect::<Vec<_>>()
+            },
+            |requests| {
+                let e = engine();
+                for (body, count) in requests {
+                    let before = solve_side_effects(&e);
+                    let req = Request::post("/solve", body.as_str());
+                    let resp = std::panic::catch_unwind(AssertUnwindSafe(|| e.handle(&req)))
+                        .map_err(|_| format!("panicked on {body}"))?;
+                    let text = resp.body_str().unwrap_or_default();
+                    require!(
+                        matches!(resp.status, 200 | 400 | 503),
+                        "status {} for {body}: {text}",
+                        resp.status
+                    );
+                    if resp.status == 200 {
+                        let obj = body_obj(&resp);
+                        let len = |field: &str| obj.get(field).unwrap().as_array().unwrap().len();
+                        require_eq!(len("cache"), *count, "labels of {body}");
+                        require_eq!(len("results"), *count, "results of {body}");
+                    } else {
+                        require_eq!(
+                            solve_side_effects(&e),
+                            before,
+                            "{} for {body} moved /stats: {text}",
+                            resp.status
+                        );
+                    }
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -32,6 +32,10 @@ const PINS: &[(&str, u64)] = &[
     ("tiered_deadline", 0x66dbc10f1c4ede50),
     ("topology_ring", 0x508a4868cf39cbe0),
     ("topology_grid", 0x28c36e7045663950),
+    ("tiered_exact", 0xb2c1b0925c377f70),
+    ("tiered_best", 0xb94c08154cd0b53e),
+    ("legacy_repeated_workload", 0x89b9b438a49c9e72),
+    ("tiered_repeated_workload", 0x7c7cf4fb7389d616),
     ("bad_not_json", 0x093211b041dd76d5),
     ("bad_not_utf8", 0xf79758e27829f755),
     ("bad_top_level_array", 0x35bf538691659b71),
@@ -52,6 +56,8 @@ const PINS: &[(&str, u64)] = &[
     ("bad_workload_not_object", 0xdbc3935b8b5f3d15),
     ("bad_workload_ids", 0x40c96ca7407c6c5d),
     ("bad_topology_too_small", 0xc55b63c61a6c2dcd),
+    ("bad_exact_too_large", 0x41bdbb8c7c07cfdf),
+    ("bad_deadline_infeasible", 0xf1229fa87281f5bd),
     ("evaluate", 0x0deac04ce7afc505),
     ("evaluate_bad_ids", 0xf41b1e45a3c9228d),
     ("simulate", 0x9c5a02c974a825a5),
@@ -78,6 +84,15 @@ fn ids(seed: u64, items: u64, len: usize, spread: impl Fn(u64) -> u64) -> String
 
 fn dense(seed: u64, items: u64, len: usize) -> String {
     ids(seed, items, len, |i| i)
+}
+
+/// The `tiered_best` workload: small enough for the exact solver, and
+/// one whose tier-1 answer is already optimal (see
+/// `tiered_best_workload_is_optimal_at_tier_1`), so the background
+/// tier-2 upgrade `best` queues is always discarded and the repeat's
+/// `hit` label cannot depend on when the upgrade lane runs.
+fn optimal_at_tier_1() -> String {
+    dense(6, 9, 200)
 }
 
 /// The pinned corpus: `(entry, path, body)`.
@@ -178,6 +193,36 @@ fn corpus() -> Vec<(&'static str, &'static str, Vec<u8>)> {
                 r#"{{"quality":"balanced","topology":"grid2d:4x16","ids":[{c}]}}"#
             )),
         ),
+        (
+            "tiered_exact",
+            "/solve",
+            solve(format!(
+                r#"{{"quality":"exact","ids":[{}]}}"#,
+                dense(5, 11, 300)
+            )),
+        ),
+        (
+            "tiered_best",
+            "/solve",
+            solve(format!(
+                r#"{{"quality":"best","ids":[{}]}}"#,
+                optimal_at_tier_1()
+            )),
+        ),
+        (
+            "legacy_repeated_workload",
+            "/solve",
+            solve(format!(
+                r#"{{"algorithm":"hybrid","workloads":[{{"ids":[{a}]}},{{"ids":[{b}]}},{{"ids":[{a}]}}]}}"#
+            )),
+        ),
+        (
+            "tiered_repeated_workload",
+            "/solve",
+            solve(format!(
+                r#"{{"quality":"balanced","workloads":[{{"ids":[{a}]}},{{"ids":[{b}]}},{{"ids":[{a}]}}]}}"#
+            )),
+        ),
         ("bad_not_json", "/solve", solve("not json".into())),
         ("bad_not_utf8", "/solve", vec![b'{', 0xFF, b'}']),
         ("bad_top_level_array", "/solve", solve("[1,2]".into())),
@@ -251,6 +296,21 @@ fn corpus() -> Vec<(&'static str, &'static str, Vec<u8>)> {
             solve(r#"{"topology":"grid2d:2x2","ids":[0,1,2,3,4]}"#.into()),
         ),
         (
+            "bad_exact_too_large",
+            "/solve",
+            solve(
+                r#"{"quality":"exact","workloads":[{"ids":[0,1,0,2]},{"ids":[0,1,2,3,4,5,6,7,8,9,10,11,12]}]}"#
+                    .into(),
+            ),
+        ),
+        (
+            "bad_deadline_infeasible",
+            "/solve",
+            solve(format!(
+                r#"{{"quality":"balanced","deadline_us":60,"workloads":[{{"ids":[0,1,0]}},{{"ids":[{b}]}}]}}"#
+            )),
+        ),
+        (
             "evaluate",
             "/evaluate",
             solve(format!(
@@ -318,6 +378,31 @@ fn solve_corpus_bodies_match_their_pins() {
         actual, expected,
         "response bytes moved; current hashes:\n{table}"
     );
+}
+
+/// The `cost` of the single result a fresh engine answers `body` with.
+fn solved_cost(body: String) -> u64 {
+    let resp = Engine::with_config(EngineConfig::default()).handle(&Request::post("/solve", body));
+    assert_eq!(resp.status, 200, "{:?}", resp.body_str());
+    let value = dwm_foundation::json::parse(resp.body_str().unwrap()).unwrap();
+    let results = value.as_object().unwrap().get("results").unwrap();
+    let result = results.as_array().unwrap()[0].as_object().unwrap();
+    result
+        .get("cost")
+        .unwrap()
+        .as_number()
+        .unwrap()
+        .as_u64()
+        .unwrap()
+}
+
+#[test]
+fn tiered_best_workload_is_optimal_at_tier_1() {
+    let ids = optimal_at_tier_1();
+    // `best` answers in the foreground exactly as `balanced` does.
+    let tier_1 = solved_cost(format!(r#"{{"quality":"balanced","ids":[{ids}]}}"#));
+    let exact = solved_cost(format!(r#"{{"quality":"exact","ids":[{ids}]}}"#));
+    assert_eq!(tier_1, exact);
 }
 
 #[test]
