@@ -1,8 +1,7 @@
 //! F6/V1: bit-level simulator replay throughput vs. the analytic model.
 
 use dwm_bench::matmul_fixture;
-use dwm_core::cost::{CostModel, SinglePortCost, TopologyCost};
-use dwm_core::{Hybrid, PlacementAlgorithm};
+use dwm_core::{Hybrid, PlacementAlgorithm, TopologyCost};
 use dwm_device::{DeviceConfig, Topology};
 use dwm_foundation::bench::{black_box, Harness};
 use dwm_sim::SpmSimulator;
@@ -18,7 +17,7 @@ fn main() {
         .expect("valid");
 
     let mut h = Harness::from_env("sim");
-    let model = SinglePortCost::new();
+    let model = TopologyCost::single_port(Topology::linear(), n);
     h.bench("replay/analytic", || {
         model.trace_cost(black_box(&placement), &trace)
     });
@@ -27,9 +26,8 @@ fn main() {
         sim.run(black_box(&trace)).expect("replay")
     });
 
-    // Non-linear topology replay: the min-of-two-directions ring and
-    // the two-axis grid exercise the per-access TopologyPlan path that
-    // the linear fast path never takes.
+    // Non-linear topology replay: the ring's min-of-two-directions plan
+    // and the grid's two-axis plan.
     let ring = TopologyCost::single_port(Topology::parse("ring").expect("valid"), n);
     h.bench("shift_ring", || {
         ring.trace_cost(black_box(&placement), &trace)

@@ -3,8 +3,8 @@
 //! over the `dwm_foundation::par` workers).
 
 use dwm_bench::{markov_fixture, suite_fixture};
-use dwm_core::cost::{CostModel, MultiPortCost, SinglePortCost};
-use dwm_core::{Hybrid, PlacementAlgorithm};
+use dwm_core::{Hybrid, PlacementAlgorithm, TopologyCost};
+use dwm_device::{PortLayout, Topology};
 use dwm_foundation::bench::{black_box, Harness};
 use dwm_foundation::par;
 
@@ -13,7 +13,7 @@ fn main() {
     for l in [16usize, 64, 256] {
         let (trace, graph) = markov_fixture(l);
         let placement = Hybrid::default().place(&graph);
-        let model = SinglePortCost::new();
+        let model = TopologyCost::single_port(Topology::linear(), l);
         h.bench(&format!("replay_tape_length/{l}"), || {
             model.trace_cost(black_box(&placement), black_box(&trace))
         });
@@ -21,7 +21,7 @@ fn main() {
     let (trace, graph) = markov_fixture(64);
     let placement = Hybrid::default().place(&graph);
     for ports in [1usize, 2, 4, 8] {
-        let model = MultiPortCost::evenly_spaced(ports, 64);
+        let model = TopologyCost::new(Topology::linear(), PortLayout::evenly_spaced(ports, 64), 64);
         h.bench(&format!("replay_ports/{ports}"), || {
             model.trace_cost(black_box(&placement), &trace)
         });
@@ -30,10 +30,10 @@ fn main() {
     // replay every suite kernel. Cells are independent, so this is the
     // sequential-vs-parallel comparison the CI gate tracks.
     let suite = suite_fixture();
-    let model = SinglePortCost::new();
     h.bench_threads("suite_hybrid_sweep", || {
         par::par_map(&suite, |(_, trace, graph)| {
             let placement = Hybrid::default().place(black_box(graph));
+            let model = TopologyCost::single_port(Topology::linear(), graph.num_items());
             model.trace_cost(&placement, trace).stats.shifts
         })
     });

@@ -1,4 +1,3 @@
-use dwm_device::shift::single_port_distance;
 use dwm_trace::Trace;
 
 use crate::config::CacheConfig;
@@ -185,8 +184,8 @@ impl DwmCache {
         };
 
         // Align the way with the port (same single-port tape metric
-        // as the placement cost models).
-        let mut shifts = single_port_distance(set.position, way);
+        // as the placement cost model).
+        let mut shifts = set.position.abs_diff(way) as u64;
         set.position = way;
 
         // Promotion: swap one way toward the port.

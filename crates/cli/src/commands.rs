@@ -18,7 +18,7 @@
 use std::fmt;
 
 use dwm_core::algorithms::{standard_suite, PlacementAlgorithm};
-use dwm_core::cost::{CostModel, MultiPortCost, SinglePortCost, TopologyCost};
+use dwm_core::cost::TopologyCost;
 use dwm_core::online::{OnlineConfig, OnlinePlacer};
 use dwm_core::spm::SpmAllocator;
 use dwm_core::{GroupedChainGrowth, Hybrid, Placement};
@@ -227,6 +227,23 @@ pub fn dispatch(args: &ParsedArgs) -> CommandResult {
     }
 }
 
+/// Writes a command's report and a trailing newline to `out`.
+///
+/// A reader that has gone away (`dwmplace sweep t.trace | head -1`) is
+/// not an error: it took what it wanted, so the command still succeeds.
+///
+/// # Errors
+///
+/// Any other write failure is an I/O error (exit code 3).
+pub fn write_report(out: &mut impl std::io::Write, report: &str) -> Result<(), CliError> {
+    match writeln!(out, "{report}").and_then(|()| out.flush()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            Err(CliError::io(format!("cannot write output: {e}")))
+        }
+        _ => Ok(()),
+    }
+}
+
 /// Loads the `n`-th positional argument as a text trace, mapping a
 /// missing/unreadable file to exit code 3 and an unparseable one to 4,
 /// both with the path in the message.
@@ -429,8 +446,6 @@ fn cmd_place(args: &ParsedArgs) -> CommandResult {
         .validate_for(graph.num_items())
         .map_err(CliError::usage)?;
     let placement = algorithm.place(&graph);
-    // The linear single-port TopologyCost replays byte-identically to
-    // the legacy SinglePortCost, so default invocations are unchanged.
     let model = TopologyCost::single_port(topology, graph.num_items());
     let naive = model
         .trace_cost(&Placement::identity(graph.num_items()), &trace)
@@ -459,7 +474,7 @@ fn cmd_sweep(args: &ParsedArgs) -> CommandResult {
     let trace = load_trace(args, 0)?.normalize();
     let csv = args.switch("csv");
     let graph = AccessGraph::from_trace(&trace);
-    let model = SinglePortCost::new();
+    let model = TopologyCost::single_port(Topology::linear(), graph.num_items());
     let naive = model
         .trace_cost(&Placement::identity(graph.num_items()), &trace)
         .stats
@@ -514,24 +529,16 @@ fn cmd_eval(args: &ParsedArgs) -> CommandResult {
     topology
         .validate_for(tape_length)
         .map_err(CliError::usage)?;
-    // Linear keeps the legacy MultiPortCost (byte-identical report);
-    // other geometries route through the topology cost model.
-    let (name, report) = if topology.is_linear() {
-        let model = MultiPortCost::evenly_spaced(ports, tape_length);
-        (model.name(), model.trace_cost(&placement, &trace))
-    } else {
-        let model = TopologyCost::new(
-            topology,
-            PortLayout::evenly_spaced(ports, tape_length),
-            tape_length,
-        );
-        (model.name(), model.trace_cost(&placement, &trace))
-    };
+    let model = TopologyCost::new(
+        topology,
+        PortLayout::evenly_spaced(ports, tape_length),
+        tape_length,
+    );
     Ok(format!(
         "{} under {}: {}",
         trace.label(),
-        name,
-        report.stats
+        model.name(),
+        model.trace_cost(&placement, &trace).stats
     ))
 }
 
@@ -650,12 +657,13 @@ fn cmd_online(args: &ParsedArgs) -> CommandResult {
         ..OnlineConfig::default()
     };
     let report = OnlinePlacer::new(config).run(&trace);
-    let naive = SinglePortCost::new()
+    let model = TopologyCost::single_port(Topology::linear(), trace.num_items());
+    let naive = model
         .trace_cost(&Placement::identity(trace.num_items()), &trace)
         .stats
         .shifts;
     let graph = AccessGraph::from_trace(&trace);
-    let oracle = SinglePortCost::new()
+    let oracle = model
         .trace_cost(&Hybrid::default().place(&graph), &trace)
         .stats
         .shifts;
@@ -826,6 +834,31 @@ mod tests {
         let trace = ZipfGen::new(32, 5).generate(2000);
         trace_io::save_text(&trace, &path).expect("temp file writable");
         path
+    }
+
+    /// A writer whose every write fails with one error kind.
+    struct FailingWriter(std::io::ErrorKind);
+
+    impl std::io::Write for FailingWriter {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(self.0.into())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_closed_reader_is_not_an_error_but_other_write_failures_are() {
+        let mut out = Vec::new();
+        write_report(&mut out, "report").unwrap();
+        assert_eq!(out, b"report\n");
+        let closed = FailingWriter(std::io::ErrorKind::BrokenPipe);
+        assert_eq!(write_report(&mut { closed }, "report"), Ok(()));
+        let full = FailingWriter(std::io::ErrorKind::StorageFull);
+        let err = write_report(&mut { full }, "report").unwrap_err();
+        assert_eq!(err.code, CliError::IO, "{err}");
     }
 
     #[test]
@@ -1148,6 +1181,38 @@ mod tests {
         ))
         .unwrap();
         assert!(ring.contains("ring@2-port"), "{ring}");
+        std::fs::remove_file(path).ok();
+        std::fs::remove_file(out_path).ok();
+    }
+
+    #[test]
+    fn place_and_single_port_eval_agree_on_every_topology() {
+        // Both commands put a lone port at offset 0, so `eval --ports 1`
+        // replays exactly the shifts `place` reported for its placement.
+        let path = temp_trace();
+        let out_path = std::env::temp_dir().join(format!(
+            "dwmplace_agree_{}.placement.json",
+            std::process::id()
+        ));
+        for topology in ["linear", "ring", "grid2d:4x8", "pirm:4"] {
+            let place = run(&format!(
+                "place {} --topology {topology} --out {}",
+                path.display(),
+                out_path.display()
+            ))
+            .unwrap();
+            let eval = run(&format!(
+                "eval {} {} --ports 1 --topology {topology}",
+                path.display(),
+                out_path.display()
+            ))
+            .unwrap();
+            // "<label>: <naive> -> <tuned> shifts ..." and
+            // "<label> under <model>: <shifts> shifts over ...".
+            let placed = place.split(" -> ").nth(1).unwrap().split(' ').next();
+            let evaluated = eval.rsplit(": ").next().unwrap().split(' ').next();
+            assert_eq!(placed, evaluated, "{topology}: {place:?} vs {eval:?}");
+        }
         std::fs::remove_file(path).ok();
         std::fs::remove_file(out_path).ok();
     }

@@ -29,11 +29,10 @@ fn main() -> ExitCode {
             return ExitCode::from(commands::CliError::USAGE);
         }
     }
-    let code = match commands::dispatch(&parsed) {
-        Ok(out) => {
-            println!("{out}");
-            ExitCode::SUCCESS
-        }
+    let code = match commands::dispatch(&parsed)
+        .and_then(|out| commands::write_report(&mut std::io::stdout().lock(), &out))
+    {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::from(e.code)

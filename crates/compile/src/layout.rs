@@ -1,7 +1,7 @@
 //! The data-layout pass: program → trace → placement → per-array map.
 
-use dwm_core::cost::{CostModel, SinglePortCost};
-use dwm_core::{Placement, PlacementAlgorithm};
+use dwm_core::{Placement, PlacementAlgorithm, TopologyCost};
+use dwm_device::Topology;
 use dwm_graph::AccessGraph;
 use dwm_trace::Trace;
 
@@ -79,7 +79,7 @@ pub fn assign_layout(
         graph.set_frequency(i, graph.frequency(i) + 1);
     }
     let placement = algorithm.place(&graph);
-    let model = SinglePortCost::new();
+    let model = TopologyCost::single_port(Topology::linear(), program.total_items());
     let naive_shifts = model
         .trace_cost(&Placement::identity(program.total_items()), &trace)
         .stats

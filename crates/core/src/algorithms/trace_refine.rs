@@ -1,9 +1,9 @@
 use dwm_trace::Trace;
 
-use crate::cost::CostModel;
+use crate::cost::TopologyCost;
 use crate::placement::Placement;
 
-/// Trace-aware refinement against an arbitrary cost model.
+/// Trace-aware refinement against any shift-cost model.
 ///
 /// The graph-based [`LocalSearch`](crate::LocalSearch) optimizes the
 /// arrangement cost, which equals the *single-port* shift count — but
@@ -22,14 +22,14 @@ use crate::placement::Placement;
 /// ```
 /// use dwm_trace::Trace;
 /// use dwm_graph::AccessGraph;
-/// use dwm_core::{Hybrid, PlacementAlgorithm};
-/// use dwm_core::cost::{CostModel, MultiPortCost};
+/// use dwm_device::{PortLayout, Topology};
+/// use dwm_core::{Hybrid, PlacementAlgorithm, TopologyCost};
 /// use dwm_core::algorithms::TraceRefiner;
 ///
 /// let trace = Trace::from_ids([0u32, 7, 1, 6, 2, 5, 3, 4, 0, 7]);
 /// let graph = AccessGraph::from_trace(&trace);
 /// let mut placement = Hybrid::default().place(&graph);
-/// let model = MultiPortCost::evenly_spaced(2, 8);
+/// let model = TopologyCost::new(Topology::linear(), PortLayout::evenly_spaced(2, 8), 8);
 /// let before = model.trace_cost(&placement, &trace).stats.shifts;
 /// TraceRefiner::default().refine(&model, &trace, &mut placement);
 /// let after = model.trace_cost(&placement, &trace).stats.shifts;
@@ -70,7 +70,7 @@ impl TraceRefiner {
     /// access is still aligned) and leaves the tape state unchanged,
     /// so dropping such runs changes no placement's shift total. On
     /// reuse-heavy traces this shrinks each probe replay several-fold.
-    pub fn refine(&self, model: &dyn CostModel, trace: &Trace, placement: &mut Placement) -> u64 {
+    pub fn refine(&self, model: &TopologyCost, trace: &Trace, placement: &mut Placement) -> u64 {
         let n = placement.num_items();
         if n < 2 || trace.is_empty() {
             return 0;
@@ -126,27 +126,45 @@ fn collapse_repeats(trace: &Trace) -> Trace {
 mod tests {
     use super::*;
     use crate::algorithms::{Hybrid, PlacementAlgorithm, RandomPlacement};
-    use crate::cost::{MultiPortCost, SinglePortCost, TypedPortCost};
-    use dwm_device::TypedPortLayout;
+    use dwm_device::{PortLayout, Topology, TypedPortLayout};
     use dwm_graph::AccessGraph;
     use dwm_trace::synth::{TraceGenerator, ZipfGen};
+
+    fn single_port() -> TopologyCost {
+        // The linear tape never reads the track length.
+        TopologyCost::single_port(Topology::linear(), 0)
+    }
+
+    fn multi_port(ports: usize, len: usize) -> TopologyCost {
+        TopologyCost::new(
+            Topology::linear(),
+            PortLayout::evenly_spaced(ports, len),
+            len,
+        )
+    }
+
+    /// A single-port, a multi-port and a one-writer typed model over
+    /// `len` words.
+    fn models(ports: usize, len: usize) -> [TopologyCost; 3] {
+        let typed = TypedPortLayout::evenly_spaced(ports, 1, len);
+        [
+            single_port(),
+            multi_port(ports, len),
+            TopologyCost::typed(Topology::linear(), &typed, len),
+        ]
+    }
 
     #[test]
     fn never_increases_cost_under_any_model() {
         let trace = ZipfGen::new(24, 9).generate(800).normalize();
         let graph = AccessGraph::from_trace(&trace);
-        let models: Vec<Box<dyn CostModel>> = vec![
-            Box::new(SinglePortCost::new()),
-            Box::new(MultiPortCost::evenly_spaced(4, 24)),
-            Box::new(TypedPortCost::new(TypedPortLayout::evenly_spaced(4, 1, 24))),
-        ];
-        for model in &models {
+        for model in &models(4, 24) {
             let mut p = RandomPlacement::new(4).place(&graph);
             let before = model.trace_cost(&p, &trace).stats.shifts;
-            let saved = TraceRefiner::default().refine(model.as_ref(), &trace, &mut p);
+            let saved = TraceRefiner::default().refine(model, &trace, &mut p);
             let after = model.trace_cost(&p, &trace).stats.shifts;
-            assert!(after <= before, "{} got worse", model.name());
-            assert_eq!(before - after, saved, "{} saving mismatch", model.name());
+            assert!(after <= before, "{model:?} got worse");
+            assert_eq!(before - after, saved, "{model:?} saving mismatch");
         }
     }
 
@@ -156,7 +174,7 @@ mod tests {
         // must match or beat its unrefined self under that tape.
         let trace = ZipfGen::new(32, 5).generate(2000).normalize();
         let graph = AccessGraph::from_trace(&trace);
-        let model = MultiPortCost::evenly_spaced(8, 32);
+        let model = multi_port(8, 32);
         let base = Hybrid::default().place(&graph);
         let base_cost = model.trace_cost(&base, &trace).stats.shifts;
         let mut refined = base.clone();
@@ -170,7 +188,7 @@ mod tests {
         let trace = ZipfGen::new(16, 2).generate(300).normalize();
         let graph = AccessGraph::from_trace(&trace);
         let mut p = Hybrid::default().place(&graph);
-        TraceRefiner::new(2, 4).refine(&SinglePortCost::new(), &trace, &mut p);
+        TraceRefiner::new(2, 4).refine(&single_port(), &trace, &mut p);
         let mut seen = [false; 16];
         for off in 0..16 {
             assert!(!seen[p.item_at(off)]);
@@ -205,24 +223,14 @@ mod tests {
         let t = t.normalize();
         let collapsed = super::collapse_repeats(&t);
         assert!(collapsed.len() < t.len());
-        let models: Vec<Box<dyn CostModel>> = vec![
-            Box::new(SinglePortCost::new()),
-            Box::new(MultiPortCost::evenly_spaced(3, t.num_items())),
-            Box::new(TypedPortCost::new(TypedPortLayout::evenly_spaced(
-                3,
-                1,
-                t.num_items(),
-            ))),
-        ];
-        for model in &models {
+        for model in &models(3, t.num_items()) {
             for seed in 0..4 {
                 let g = AccessGraph::from_trace(&t);
                 let p = RandomPlacement::new(seed).place(&g);
                 assert_eq!(
                     model.trace_cost(&p, &t).stats.shifts,
                     model.trace_cost(&p, &collapsed).stats.shifts,
-                    "{} seed {seed}",
-                    model.name()
+                    "{model:?} seed {seed}"
                 );
             }
         }
@@ -232,17 +240,14 @@ mod tests {
     fn trivial_inputs_are_no_ops() {
         let mut p = Placement::identity(1);
         let saved = TraceRefiner::default().refine(
-            &SinglePortCost::new(),
+            &single_port(),
             &dwm_trace::Trace::from_ids([0u32]),
             &mut p,
         );
         assert_eq!(saved, 0);
         let mut p = Placement::identity(4);
-        let saved = TraceRefiner::default().refine(
-            &SinglePortCost::new(),
-            &dwm_trace::Trace::new(),
-            &mut p,
-        );
+        let saved =
+            TraceRefiner::default().refine(&single_port(), &dwm_trace::Trace::new(), &mut p);
         assert_eq!(saved, 0);
     }
 }

@@ -11,8 +11,9 @@
 //! # Structure
 //!
 //! * [`Placement`] — a validated bijection between items and offsets;
-//! * [`cost`] — analytic shift-cost models ([`SinglePortCost`],
-//!   [`MultiPortCost`]) plus latency/energy projection;
+//! * [`cost`] — the analytic shift-cost model [`TopologyCost`], with
+//!   the track topology, the port layout and the port types as its
+//!   parameters;
 //! * [`algorithms`] — the algorithm suite: naive baselines, classic
 //!   organ-pipe frequency placement, the adjacency-driven
 //!   [`ChainGrowth`]/[`GroupedChainGrowth`] heuristics (the paper's
@@ -29,6 +30,7 @@
 //! use dwm_trace::kernels::Kernel;
 //! use dwm_graph::AccessGraph;
 //! use dwm_core::prelude::*;
+//! use dwm_device::Topology;
 //!
 //! let trace = Kernel::MatMul { n: 8, block: 2 }.trace();
 //! let graph = AccessGraph::from_trace(&trace);
@@ -36,7 +38,7 @@
 //! let naive = OrderOfAppearance.place(&graph);
 //! let tuned = GroupedChainGrowth::default().place(&graph);
 //!
-//! let model = SinglePortCost::new();
+//! let model = TopologyCost::single_port(Topology::linear(), graph.num_items());
 //! let before = model.trace_cost(&naive, &trace).stats.shifts;
 //! let after = model.trace_cost(&tuned, &trace).stats.shifts;
 //! assert!(after <= before);
@@ -63,7 +65,7 @@ pub use algorithms::{
     Spectral, TraceRefiner, WindowedDp,
 };
 pub use anytime::{AnytimeOutcome, AnytimePlacement, AnytimeSolver, Quality, Tier, TierPlan};
-pub use cost::{CostModel, CostReport, MultiPortCost, SinglePortCost, TopologyCost, TypedPortCost};
+pub use cost::{CostReport, TopologyCost};
 pub use error::PlacementError;
 pub use placement::Placement;
 
@@ -91,9 +93,7 @@ pub mod prelude {
     pub use crate::anytime::{
         plan as plan_tier, AnytimeOutcome, AnytimePlacement, AnytimeSolver, Quality, Tier, TierPlan,
     };
-    pub use crate::cost::{
-        CostModel, CostReport, MultiPortCost, SinglePortCost, TopologyCost, TypedPortCost,
-    };
+    pub use crate::cost::{CostReport, TopologyCost};
     pub use crate::exact::optimal_placement;
     pub use crate::exact_bb::branch_and_bound_placement;
     pub use crate::online::{

@@ -29,7 +29,7 @@ use dwm_graph::AccessGraph;
 use dwm_trace::Trace;
 
 use crate::algorithms::{Hybrid, PlacementAlgorithm};
-use crate::cost::{CostModel, TopologyCost};
+use crate::cost::TopologyCost;
 use crate::placement::Placement;
 
 /// Tuning and cost parameters for online placement.
@@ -253,9 +253,6 @@ impl OnlinePlacer {
     /// replays over many settings).
     pub fn run_profiles(&self, n: usize, profiles: &WindowProfiles) -> OnlineReport {
         let mut placement = Placement::identity(n);
-        // Linear single-port TopologyCost replays byte-identically to
-        // the legacy SinglePortCost (a pinned cost-model invariant), so
-        // one model serves every topology.
         let model = TopologyCost::single_port(self.config.topology, n);
 
         let mut access_shifts = 0u64;
@@ -348,7 +345,6 @@ impl OnlinePlacer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::SinglePortCost;
     use dwm_trace::synth::{MarkovGen, TraceGenerator, UniformGen};
 
     /// Two-phase workload: hot pairs move between phases. Ids are kept
@@ -374,7 +370,7 @@ mod tests {
         assert!(report.migrations >= 1, "never adapted");
         // The adaptive run must beat the naive static placement by a
         // wide margin: naive pays ~30 shifts per access forever.
-        let naive = SinglePortCost::new()
+        let naive = TopologyCost::single_port(Topology::linear(), 31)
             .trace_cost(&Placement::identity(31), &phased_trace())
             .stats
             .shifts;
@@ -497,7 +493,7 @@ mod tests {
     fn reference_run(config: &OnlineConfig, trace: &Trace) -> OnlineReport {
         let n = trace.num_items();
         let mut placement = Placement::identity(n);
-        let model = SinglePortCost::new();
+        let model = TopologyCost::single_port(Topology::linear(), n);
         let algorithm = Hybrid::default();
         let mut access_shifts = 0u64;
         let mut migration_shifts = 0u64;
@@ -659,7 +655,7 @@ mod tests {
         // With adaptation fully suppressed, the run degenerates to the
         // static identity placement, window by window (the head resets
         // at window boundaries, so sum the per-window costs).
-        let model = SinglePortCost::new();
+        let model = TopologyCost::single_port(Topology::linear(), trace.num_items());
         let identity = Placement::identity(trace.num_items());
         let naive: u64 = trace
             .accesses()

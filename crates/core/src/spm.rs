@@ -358,8 +358,7 @@ mod tests {
             .allocate(&t, &OrderOfAppearance)
             .unwrap();
         let (stats, _) = layout.trace_cost(&t, &PortLayout::single());
-        use crate::cost::CostModel;
-        let single = crate::cost::SinglePortCost::new()
+        let single = crate::cost::TopologyCost::single_port(Topology::linear(), 64)
             .trace_cost(&crate::Placement::identity(g.num_items()), &t)
             .stats;
         assert_eq!(stats.shifts, single.shifts);

@@ -309,13 +309,9 @@ impl DeviceConfigBuilder {
         if self.dbcs == 0 {
             return Err(invalid("dbcs", "must be nonzero".into()));
         }
-        let ports = match self.ports {
-            Some(layout) => layout,
-            // A single port sits at offset 0 (the classic low-cost DWM
-            // macro-cell); multiple ports are spread evenly.
-            None if self.port_count == 1 => PortLayout::single(),
-            None => PortLayout::evenly_spaced(self.port_count, self.domains_per_track),
-        };
+        let ports = self
+            .ports
+            .unwrap_or_else(|| PortLayout::evenly_spaced(self.port_count, self.domains_per_track));
         if ports.is_empty() {
             return Err(invalid("ports", "at least one access port required".into()));
         }

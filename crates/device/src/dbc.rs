@@ -1,8 +1,8 @@
 use crate::config::DeviceConfig;
 use crate::error::DeviceError;
 use crate::port::PortLayout;
-use crate::shift::nearest_port_plan;
 use crate::stats::ShiftStats;
+use crate::topology::{Linear, TapeState, TopologyPlan, TrackTopology};
 use crate::track::Track;
 
 /// A domain-block cluster: `W` tracks shifting in lockstep, storing one
@@ -118,14 +118,25 @@ impl Dbc {
         }
     }
 
+    /// Plans the access to `offset` from the current displacement: a
+    /// DBC is a finite linear tape under the nearest-port policy.
+    fn plan(&self, offset: usize) -> TopologyPlan {
+        let state = TapeState {
+            longitudinal: self.displacement,
+            transverse: 0,
+        };
+        Linear.plan(&self.ports, self.words, state, offset)
+    }
+
     /// Aligns `offset` with its nearest port, returning the shift
     /// distance taken.
     fn align(&mut self, offset: usize) -> u64 {
-        let plan = nearest_port_plan(&self.ports, self.displacement, offset);
+        let plan = self.plan(offset);
+        let displacement = plan.state.longitudinal;
         for track in &mut self.tracks {
-            track.shift_to(plan.displacement);
+            track.shift_to(displacement);
         }
-        self.displacement = plan.displacement;
+        self.displacement = displacement;
         plan.distance
     }
 
@@ -177,7 +188,7 @@ impl Dbc {
     /// performing it.
     pub fn peek_distance(&self, offset: usize) -> Result<u64, DeviceError> {
         self.check_offset(offset)?;
-        Ok(nearest_port_plan(&self.ports, self.displacement, offset).distance)
+        Ok(self.plan(offset).distance)
     }
 
     /// Fault-injection hook: physically displaces the domain train by

@@ -21,8 +21,9 @@
 //!   parameters (defaults follow the 2013–2015 DWM literature);
 //! * [`Track`] and [`Dbc`] — functional bit-level models with shift
 //!   state, padding domains, and wear counters;
-//! * [`PortLayout`] and the [`shift`] module — the pure distance
-//!   arithmetic shared by the analytic cost models and the simulator;
+//! * [`PortLayout`] and the [`topology`] module — the port layouts and
+//!   the per-access shift plan that the analytic cost model in
+//!   `dwm-core`, the bit-level [`Dbc`] and the simulator all share;
 //! * [`AccessEnergy`]/[`AccessLatency`] — projection of shift counts
 //!   into nanojoules and nanoseconds.
 //!
@@ -54,7 +55,6 @@ mod energy;
 mod error;
 pub mod fault;
 mod port;
-pub mod shift;
 mod stats;
 pub mod topology;
 mod track;

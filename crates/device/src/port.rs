@@ -50,10 +50,15 @@ impl PortLayout {
     ///
     /// Port `i` sits at the centre of the `i`-th of `count` equal
     /// segments, i.e. at `(2i + 1) * l / (2 * count)`, which minimizes
-    /// the worst-case distance from any word to its nearest port.
-    /// `count = 0` yields an empty layout (rejected later by
-    /// configuration validation).
+    /// the worst-case distance from any word to its nearest port. The
+    /// exception is one port: it sits at offset 0 ([`single`](Self::single),
+    /// the classic low-cost macro-cell), so every way of asking for a
+    /// single-port tape replays the same. `count = 0` yields an empty
+    /// layout (rejected later by configuration validation).
     pub fn evenly_spaced(count: usize, l: usize) -> Self {
+        if count == 1 {
+            return PortLayout::single();
+        }
         let positions = (0..count)
             .map(|i| ((2 * i + 1) * l) / (2 * count.max(1)))
             .map(|p| p.min(l.saturating_sub(1)))
@@ -105,17 +110,20 @@ impl PortLayout {
     ///
     /// Panics if the layout is empty (configurations validated through
     /// [`crate::DeviceConfig`] always have at least one port).
+    #[inline]
     pub fn nearest_port(&self, offset: usize, displacement: i64) -> (PortId, u64) {
         self.iter()
             .map(|(id, p)| {
                 let required = offset as i64 - p as i64;
                 (id, required.abs_diff(displacement))
             })
-            .min_by_key(|&(id, d)| (d, id))
+            // The first minimum wins, so ties go to the lowest id.
+            .min_by_key(|&(_, d)| d)
             .expect("port layout must not be empty")
     }
 
     /// The tape displacement required to align `offset` with `port`.
+    #[inline]
     pub fn required_displacement(&self, offset: usize, port: PortId) -> i64 {
         offset as i64 - self.positions[port.0] as i64
     }
@@ -245,7 +253,7 @@ mod tests {
 
     #[test]
     fn evenly_spaced_centres_segments() {
-        assert_eq!(PortLayout::evenly_spaced(1, 64).positions(), &[32]);
+        assert_eq!(PortLayout::evenly_spaced(1, 64).positions(), &[0]);
         assert_eq!(PortLayout::evenly_spaced(2, 64).positions(), &[16, 48]);
         assert_eq!(
             PortLayout::evenly_spaced(4, 64).positions(),

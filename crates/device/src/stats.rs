@@ -1,7 +1,7 @@
 /// Running counters of device activity.
 ///
 /// Collected by [`Dbc`](crate::Dbc) and by the simulator crate; the
-/// analytic cost models in `dwm-core` produce the same `shifts` figure,
+/// analytic cost model in `dwm-core` produces the same `shifts` figure,
 /// which the cross-validation test relies on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShiftStats {
@@ -49,15 +49,11 @@ impl ShiftStats {
 
     /// Records one access of `dist` shift steps.
     pub fn record(&mut self, dist: u64, is_write: bool) {
+        // Branch-free: replay loops call this once per access.
         self.shifts += dist;
-        if is_write {
-            self.writes += 1;
-        } else {
-            self.reads += 1;
-        }
-        if dist == 0 {
-            self.aligned_hits += 1;
-        }
+        self.writes += u64::from(is_write);
+        self.reads += u64::from(!is_write);
+        self.aligned_hits += u64::from(dist == 0);
         self.max_shift = self.max_shift.max(dist);
     }
 

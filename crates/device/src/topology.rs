@@ -22,11 +22,12 @@
 //! [`shift_distance`](TrackTopology::shift_distance) (the metric
 //! placement optimizes), per-access [`plan`](TrackTopology::plan)
 //! (access-port resolution + tape-state update, the replay inner loop),
-//! and relative energy/wear weights per shift step. The cost models in
-//! `dwm-core`, the simulator in `dwm-sim`, and the bit-level device in
-//! this crate all consume this module instead of re-deriving port
-//! arithmetic — [`Linear`] reproduces the pre-topology behaviour
-//! byte-for-byte (golden-pinned by the workspace integration tests).
+//! and relative energy/wear weights per shift step. The cost model in
+//! `dwm-core` (`TopologyCost`), the simulator in `dwm-sim`, and the
+//! bit-level [`Dbc`](crate::Dbc) in this crate all consume this module
+//! instead of re-deriving port arithmetic — [`Linear`] reproduces the
+//! pre-topology behaviour byte-for-byte (golden-pinned by the workspace
+//! integration tests).
 
 use std::fmt;
 
@@ -59,7 +60,7 @@ impl TapeState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TopologyPlan {
     /// Port chosen to serve the access (nearest-port policy, ties to
-    /// the lowest-numbered port — same rule as [`crate::shift`]).
+    /// the lowest-numbered port).
     pub port: PortId,
     /// Shift steps the access costs, already weighted by per-axis step
     /// costs where the topology has them.
@@ -167,9 +168,11 @@ pub trait TrackTopology {
     }
 }
 
-/// Today's semantics: a finite 1D tape under fixed ports. The
-/// nearest-port policy and displacement arithmetic are exactly those of
-/// [`crate::shift::nearest_port_plan`] (which now delegates here).
+/// Today's semantics: a finite 1D tape under fixed ports. An access
+/// aligns its word with the nearest port
+/// ([`PortLayout::nearest_port`]); the tape's displacement afterwards
+/// is [`PortLayout::required_displacement`]. With a single port at
+/// offset 0 the distance is `|from − to|`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Linear;
 
@@ -182,6 +185,7 @@ impl TrackTopology for Linear {
         "linear".into()
     }
 
+    #[inline]
     fn plan(
         &self,
         ports: &PortLayout,
@@ -595,25 +599,29 @@ impl<'a> TopologyReplayer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shift::nearest_port_plan;
 
     fn single() -> PortLayout {
         PortLayout::single()
     }
 
     #[test]
-    fn linear_plan_matches_nearest_port_plan_exactly() {
-        let ports = PortLayout::at_positions([0, 32]);
-        let mut displacement = 0i64;
-        let mut state = TapeState::rest();
-        for offset in [3usize, 40, 63, 0, 31, 32, 7] {
-            let legacy = nearest_port_plan(&ports, displacement, offset);
-            let plan = Linear.plan(&ports, 64, state, offset);
-            assert_eq!(plan.port, legacy.port);
-            assert_eq!(plan.distance, legacy.distance);
-            assert_eq!(plan.state.longitudinal, legacy.displacement);
-            displacement = legacy.displacement;
-            state = plan.state;
+    fn linear_plan_picks_the_nearest_port_and_moves_the_tape() {
+        let ports = PortLayout::at_positions([0, 8]);
+        // From rest, word 7 is one step from the port at 8: the tape
+        // moves to displacement 7 − 8 = −1.
+        let p1 = Linear.plan(&ports, 16, TapeState::rest(), 7);
+        assert_eq!((p1.port, p1.distance), (PortId(1), 1));
+        assert_eq!(p1.state.longitudinal, -1);
+        // Word 0 via port 0 needs displacement 0: one step from −1.
+        let p2 = Linear.plan(&ports, 16, p1.state, 0);
+        assert_eq!((p2.port, p2.distance), (PortId(0), 1));
+        assert_eq!(p2.state, TapeState::rest());
+        // A single port at 0 charges |from − to|.
+        for (a, b) in [(4usize, 9usize), (9, 1), (1, 1)] {
+            assert_eq!(
+                Linear.shift_distance(&single(), 16, a, b),
+                a.abs_diff(b) as u64
+            );
         }
     }
 

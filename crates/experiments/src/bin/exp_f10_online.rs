@@ -22,9 +22,9 @@
 //! The dedupe is guarded: the headline configuration is also replayed
 //! the slow way and must match the profile-based run exactly.
 
-use dwm_core::cost::{CostModel, SinglePortCost};
 use dwm_core::online::{window_profiles, OnlineConfig, OnlinePlacer};
-use dwm_core::{Hybrid, Placement, PlacementAlgorithm};
+use dwm_core::{Hybrid, Placement, PlacementAlgorithm, TopologyCost};
+use dwm_device::Topology;
 use dwm_experiments::{percent_reduction, Table, EXPERIMENT_SEED};
 use dwm_graph::AccessGraph;
 use dwm_trace::synth::{PhasedGen, TraceGenerator};
@@ -34,8 +34,8 @@ const WINDOW: usize = 1000;
 fn main() {
     println!("Figure 10: static vs. online placement on a 4-phase workload (64 items)\n");
     let trace = PhasedGen::new(64, 4, EXPERIMENT_SEED).generate(20_000);
-    let model = SinglePortCost::new();
     let n = trace.num_items();
+    let model = TopologyCost::single_port(Topology::linear(), n);
 
     let naive = model
         .trace_cost(&Placement::identity(n), &trace)

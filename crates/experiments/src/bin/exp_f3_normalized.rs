@@ -3,7 +3,8 @@
 //! shifts; 1.000 = naive, lower is better. The "gmean" row is the
 //! geometric mean across benchmarks — the headline reduction figure.
 
-use dwm_core::cost::{CostModel, SinglePortCost};
+use dwm_core::TopologyCost;
+use dwm_device::Topology;
 use dwm_experiments::{algorithm_suite, workload_suite, Table};
 use dwm_graph::AccessGraph;
 
@@ -14,11 +15,11 @@ fn main() {
     header.extend(algorithms.iter().map(|a| a.name()));
     let mut t = Table::new(header);
 
-    let model = SinglePortCost::new();
     let mut log_sums = vec![0.0f64; algorithms.len()];
     let workloads = workload_suite();
     for (name, trace) in &workloads {
         let graph = AccessGraph::from_trace(trace);
+        let model = TopologyCost::single_port(Topology::linear(), graph.num_items());
         let naive = model
             .trace_cost(&algorithms[0].place(&graph), trace)
             .stats

@@ -6,8 +6,10 @@
 //! organ-pipe, and grouped-chain placements, plus the reduction of
 //! grouped over naive at each L.
 
-use dwm_core::cost::{CostModel, SinglePortCost};
-use dwm_core::{GroupedChainGrowth, OrderOfAppearance, OrganPipe, PlacementAlgorithm};
+use dwm_core::{
+    GroupedChainGrowth, OrderOfAppearance, OrganPipe, PlacementAlgorithm, TopologyCost,
+};
+use dwm_device::Topology;
 use dwm_experiments::{percent_reduction, Table, EXPERIMENT_SEED};
 use dwm_foundation::par;
 use dwm_graph::AccessGraph;
@@ -16,7 +18,6 @@ use dwm_trace::synth::{MarkovGen, TraceGenerator};
 fn main() {
     println!("Figure 4: shifts/access vs. tape length L (Markov workload, 20k accesses)\n");
     let mut t = Table::new(["L", "naive", "organ-pipe", "grouped-chain", "reduction"]);
-    let model = SinglePortCost::new();
     let lengths = [16usize, 32, 64, 128, 256];
     // Each tape length is an independent cell; par_map keeps the rows
     // in L order regardless of DWM_THREADS.
@@ -26,6 +27,7 @@ fn main() {
             .generate(20_000)
             .normalize();
         let graph = AccessGraph::from_trace(&trace);
+        let model = TopologyCost::single_port(Topology::linear(), graph.num_items());
         let naive = model
             .trace_cost(&OrderOfAppearance.place(&graph), &trace)
             .stats;

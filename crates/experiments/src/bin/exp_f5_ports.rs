@@ -6,8 +6,8 @@
 //! ports and report aggregate shifts of naive vs. the hybrid pipeline and
 //! the surviving reduction.
 
-use dwm_core::cost::{CostModel, MultiPortCost};
-use dwm_core::{Hybrid, OrderOfAppearance, PlacementAlgorithm, TraceRefiner};
+use dwm_core::{Hybrid, OrderOfAppearance, PlacementAlgorithm, TopologyCost, TraceRefiner};
+use dwm_device::{PortLayout, Topology};
 use dwm_experiments::{percent_reduction, workload_suite, Table};
 use dwm_foundation::par;
 use dwm_graph::AccessGraph;
@@ -20,7 +20,7 @@ fn main() {
     // rows out and let the inner placement portfolio parallelize too.
     let port_counts = [1usize, 2, 4, 8];
     let rows = par::par_map(&port_counts, |&ports| {
-        let model = MultiPortCost::evenly_spaced(ports, 64);
+        let model = TopologyCost::new(Topology::linear(), PortLayout::evenly_spaced(ports, 64), 64);
         let mut naive_total = 0u64;
         let mut hybrid_total = 0u64;
         let mut refined_total = 0u64;

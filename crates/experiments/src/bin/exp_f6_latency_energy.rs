@@ -4,9 +4,8 @@
 //! model (experiment T1's parameters): per benchmark, total access
 //! latency and energy of the naive vs. hybrid placements.
 
-use dwm_core::cost::{CostModel, SinglePortCost};
-use dwm_core::{Hybrid, OrderOfAppearance, PlacementAlgorithm};
-use dwm_device::{CostProjection, DeviceConfig};
+use dwm_core::{Hybrid, OrderOfAppearance, PlacementAlgorithm, TopologyCost};
+use dwm_device::{CostProjection, DeviceConfig, Topology};
 use dwm_experiments::{workload_suite, Table};
 use dwm_graph::AccessGraph;
 
@@ -23,9 +22,9 @@ fn main() {
     ]);
     let config = DeviceConfig::default();
     let projection = CostProjection::new(&config);
-    let model = SinglePortCost::new();
     for (name, trace) in workload_suite() {
         let graph = AccessGraph::from_trace(&trace);
+        let model = TopologyCost::single_port(Topology::linear(), graph.num_items());
         let naive = model
             .trace_cost(&OrderOfAppearance.place(&graph), &trace)
             .stats;

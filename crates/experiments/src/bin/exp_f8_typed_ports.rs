@@ -6,9 +6,8 @@
 //! Write-heavy kernels (fft, histogram, merge-sort) pay the most for
 //! losing writers; read-dominated ones (bfs, stencil) barely notice.
 
-use dwm_core::cost::{CostModel, TypedPortCost};
-use dwm_core::{Hybrid, PlacementAlgorithm};
-use dwm_device::TypedPortLayout;
+use dwm_core::{Hybrid, PlacementAlgorithm, TopologyCost};
+use dwm_device::{Topology, TypedPortLayout};
 use dwm_experiments::{workload_suite, Table};
 use dwm_graph::AccessGraph;
 
@@ -27,7 +26,8 @@ fn main() {
         let stats = trace.stats();
         let mut shifts = Vec::new();
         for rw in [4usize, 2, 1] {
-            let model = TypedPortCost::new(TypedPortLayout::evenly_spaced(4, rw, 64));
+            let ports = TypedPortLayout::evenly_spaced(4, rw, 64);
+            let model = TopologyCost::typed(Topology::linear(), &ports, 64);
             shifts.push(model.trace_cost(&placement, &trace).stats.shifts);
         }
         let mut cells = vec![

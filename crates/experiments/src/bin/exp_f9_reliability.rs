@@ -6,10 +6,9 @@
 //! fault-injecting simulator actually observed (seeded, p scaled to
 //! 2e-2 so counts are non-trivial at these trace lengths).
 
-use dwm_core::cost::{CostModel, SinglePortCost};
-use dwm_core::{Hybrid, OrderOfAppearance, PlacementAlgorithm};
+use dwm_core::{Hybrid, OrderOfAppearance, PlacementAlgorithm, TopologyCost};
 use dwm_device::fault::ShiftFaultModel;
-use dwm_device::DeviceConfig;
+use dwm_device::{DeviceConfig, Topology};
 use dwm_experiments::{workload_suite, Table, EXPERIMENT_SEED};
 use dwm_graph::AccessGraph;
 use dwm_sim::SpmSimulator;
@@ -25,9 +24,9 @@ fn main() {
         "naive slips (sim, p=2e-2)",
         "hybrid slips (sim)",
     ]);
-    let cost = SinglePortCost::new();
     for (name, trace) in workload_suite() {
         let graph = AccessGraph::from_trace(&trace);
+        let cost = TopologyCost::single_port(Topology::linear(), graph.num_items());
         let naive_p = OrderOfAppearance.place(&graph);
         let hybrid_p = Hybrid::default().place(&graph);
         let naive_shifts = cost.trace_cost(&naive_p, &trace).stats.shifts;

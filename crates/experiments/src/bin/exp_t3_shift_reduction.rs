@@ -5,8 +5,8 @@
 //! The last column adds local-search refinement on top of the proposed
 //! grouped-chain algorithm ("grouped+ls"), the full pipeline.
 
-use dwm_core::cost::{CostModel, SinglePortCost};
-use dwm_core::{GroupedChainGrowth, LocalSearch};
+use dwm_core::{GroupedChainGrowth, LocalSearch, TopologyCost};
+use dwm_device::Topology;
 use dwm_experiments::{algorithm_suite, percent_reduction, workload_suite, Table};
 use dwm_foundation::par;
 use dwm_graph::AccessGraph;
@@ -19,12 +19,12 @@ fn main() {
     header.push("grouped+ls".into());
     let mut t = Table::new(header);
 
-    let model = SinglePortCost::new();
     // One row per benchmark, computed independently; row order follows
     // the workload suite at every DWM_THREADS setting.
     let workloads = workload_suite();
     let rows = par::par_map(&workloads, |(name, trace)| {
         let graph = AccessGraph::from_trace(trace);
+        let model = TopologyCost::single_port(Topology::linear(), graph.num_items());
         let mut cells = vec![name.clone()];
         let naive_shifts = model
             .trace_cost(&algorithms[0].place(&graph), trace)

@@ -5,8 +5,8 @@
 //! paths (dijkstra), sparse algebra (spmv), and text search
 //! (string-match), all on the single-port DBC with the hybrid pipeline.
 
-use dwm_core::cost::{CostModel, SinglePortCost};
-use dwm_core::{Hybrid, OrderOfAppearance, OrganPipe, PlacementAlgorithm};
+use dwm_core::{Hybrid, OrderOfAppearance, OrganPipe, PlacementAlgorithm, TopologyCost};
+use dwm_device::Topology;
 use dwm_experiments::{percent_reduction, Table};
 use dwm_foundation::par;
 use dwm_graph::AccessGraph;
@@ -23,12 +23,12 @@ fn main() {
         "hybrid",
         "reduction",
     ]);
-    let model = SinglePortCost::new();
     // Kernels are independent; rows come back in suite order.
     let kernels = Kernel::extended_suite();
     let rows = par::par_map(&kernels, |kernel| {
         let trace = kernel.trace();
         let graph = AccessGraph::from_trace(&trace);
+        let model = TopologyCost::single_port(Topology::linear(), graph.num_items());
         let naive = model
             .trace_cost(&OrderOfAppearance.place(&graph), &trace)
             .stats

@@ -19,7 +19,7 @@
 //! wear weight. `--small` restricts to kernels with ≤ 64 items (the CI
 //! smoke corpus); `--csv` emits machine-readable rows.
 
-use dwm_core::{CostModel, Hybrid, PlacementAlgorithm, TopologyCost};
+use dwm_core::{Hybrid, PlacementAlgorithm, TopologyCost};
 use dwm_device::{CostProjection, DeviceConfig, Topology, TrackTopology};
 use dwm_experiments::{workload_suite, Table};
 use dwm_graph::AccessGraph;

@@ -6,9 +6,8 @@
 //! simulator's data-integrity check must report zero errors. The
 //! binary exits nonzero on any mismatch so it can gate CI.
 
-use dwm_core::cost::{CostModel, SinglePortCost};
-use dwm_core::{GroupedChainGrowth, PlacementAlgorithm};
-use dwm_device::DeviceConfig;
+use dwm_core::{GroupedChainGrowth, PlacementAlgorithm, TopologyCost};
+use dwm_device::{DeviceConfig, Topology};
 use dwm_experiments::{workload_suite, Table};
 use dwm_graph::AccessGraph;
 use dwm_sim::SpmSimulator;
@@ -20,7 +19,7 @@ fn main() {
     for (name, trace) in workload_suite() {
         let graph = AccessGraph::from_trace(&trace);
         let placement = GroupedChainGrowth.place(&graph);
-        let analytic = SinglePortCost::new()
+        let analytic = TopologyCost::single_port(Topology::linear(), graph.num_items())
             .trace_cost(&placement, &trace)
             .stats
             .shifts;

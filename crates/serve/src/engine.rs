@@ -81,8 +81,8 @@ use std::time::{Duration, Instant};
 
 use dwm_core::algorithms::standard_suite;
 use dwm_core::anytime::{self, AnytimeSolver, Quality, Tier, TierPlan};
-use dwm_core::{CostModel, MultiPortCost, Placement, PlacementAlgorithm, TopologyCost};
-use dwm_device::{DeviceConfig, Topology, TopologyKind, TrackTopology};
+use dwm_core::{Placement, PlacementAlgorithm, TopologyCost};
+use dwm_device::{DeviceConfig, PortLayout, Topology, TopologyKind, TrackTopology};
 use dwm_foundation::json::{Number, Object, ToJson, Value};
 use dwm_foundation::net::{Request, Response};
 use dwm_foundation::obs::{self, FnKind};
@@ -821,7 +821,11 @@ impl Engine {
                 "\"ports\" and \"tape_length\" must be at least 1",
             ));
         }
-        let model = MultiPortCost::evenly_spaced(ports, tape_length);
+        let model = TopologyCost::new(
+            Topology::linear(),
+            PortLayout::evenly_spaced(ports, tape_length),
+            tape_length,
+        );
         let report = model.trace_cost(&placement, &trace);
 
         let mut body = Object::new();
@@ -1218,9 +1222,9 @@ pub(crate) fn workload_key(ids: &[u32], topology: &Topology) -> (GraphDigest, Fi
 /// bar. A suite algorithm's record is tier 0, with the algorithm as its
 /// solver.
 ///
-/// Costs come from a single-port [`TopologyCost`], whose linear case is
-/// pinned byte-identical to the pre-topology `SinglePortCost`, so the
-/// record's cost and the body's `cost` field can never disagree. The
+/// Costs come from one single-port [`TopologyCost`] (on the linear tape,
+/// the placement's arrangement cost), so the record's cost and the
+/// body's `cost` field can never disagree. The
 /// `topology` field appears only for non-linear requests, so legacy
 /// bodies (and explicit `"topology":"linear"` ones) are unchanged.
 /// Tier and solver provenance live in the response's `cache` labels,

@@ -1,6 +1,6 @@
 //! Cycle-approximate, self-checking scratchpad simulator for DWM.
 //!
-//! Where `dwm-core`'s cost models *count* shifts analytically, this
+//! Where `dwm-core`'s cost model *counts* shifts analytically, this
 //! crate actually *performs* them: a [`Scratchpad`] instantiates
 //! bit-level [`Dbc`](dwm_device::Dbc)s, and the [`SpmSimulator`] replays
 //! a trace through a placement, moving real data. Each write stores a
@@ -9,8 +9,8 @@
 //! failure, not just a wrong counter.
 //!
 //! The simulator's shift counters must agree exactly with the analytic
-//! models — that is the V1 cross-validation experiment and an
-//! integration test.
+//! model (`dwm_core::TopologyCost` on the linear tape) — that is the V1
+//! cross-validation experiment and an integration test.
 //!
 //! # Example
 //!
@@ -34,12 +34,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod replay;
 mod report;
 mod scratchpad;
 mod simulator;
 
-pub use replay::{topology_layout_report, topology_report};
 pub use report::SimReport;
 pub use scratchpad::Scratchpad;
 pub use simulator::{SimError, SpmSimulator};
@@ -56,7 +54,5 @@ pub fn register_obs_metrics() {
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use crate::{
-        topology_layout_report, topology_report, Scratchpad, SimError, SimReport, SpmSimulator,
-    };
+    pub use crate::{Scratchpad, SimError, SimReport, SpmSimulator};
 }

@@ -366,8 +366,8 @@ fn write_token(item: usize, version: u64, word_mask: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dwm_core::cost::{CostModel, SinglePortCost};
-    use dwm_core::{GroupedChainGrowth, Hybrid, PlacementAlgorithm};
+    use dwm_core::{GroupedChainGrowth, Hybrid, PlacementAlgorithm, TopologyCost};
+    use dwm_device::Topology;
     use dwm_graph::AccessGraph;
     use dwm_trace::kernels::Kernel;
 
@@ -381,21 +381,37 @@ mod tests {
 
     #[test]
     fn sim_matches_analytic_single_port_model() {
+        // The whole report, not just the shift total: on every suite
+        // kernel the bit-level run equals the analytic replay projected
+        // through the same device's latency and energy model.
         for kernel in Kernel::suite() {
             let trace = kernel.trace();
             let n = trace.num_items();
             let graph = AccessGraph::from_trace(&trace);
             let placement = GroupedChainGrowth.place(&graph);
-            let analytic = SinglePortCost::new().trace_cost(&placement, &trace);
-            let mut sim = SpmSimulator::new(&config(n.max(1)), &placement).unwrap();
-            let report = sim.run(&trace).unwrap();
+            let cfg = config(n.max(1));
+            let stats = TopologyCost::single_port(Topology::linear(), n)
+                .trace_cost(&placement, &trace)
+                .stats;
+            let projection = CostProjection::new(&cfg);
+            let analytic = SimReport {
+                stats,
+                per_dbc: vec![stats],
+                latency: projection.latency(&stats),
+                energy: projection.energy(&stats),
+                integrity_errors: 0,
+                slip_events: 0,
+            };
+            let report = SpmSimulator::new(&cfg, &placement)
+                .unwrap()
+                .run(&trace)
+                .unwrap();
             assert_eq!(
-                report.stats.shifts,
-                analytic.stats.shifts,
+                report,
+                analytic,
                 "sim diverges from analytic model on {}",
                 kernel.name()
             );
-            assert_eq!(report.integrity_errors, 0, "{}", kernel.name());
         }
     }
 
@@ -531,8 +547,9 @@ mod tests {
             .unwrap();
         let mut sim = SpmSimulator::with_layout(&cfg, &layout).unwrap();
         let report = sim.run(&trace).unwrap();
-        let (analytic, _) = layout.trace_cost(&trace, &PortLayout::single());
-        assert_eq!(report.stats.shifts, analytic.shifts);
+        let (analytic, per_dbc) = layout.trace_cost(&trace, &PortLayout::single());
+        assert_eq!(report.stats, analytic);
+        assert_eq!(report.per_dbc, per_dbc);
         assert_eq!(report.integrity_errors, 0);
     }
 

@@ -26,7 +26,7 @@ fn main() {
     let trace = Trace::from_ids(ids);
     println!("workload: {}\n", trace.stats());
 
-    let model = SinglePortCost::new();
+    let model = TopologyCost::single_port(Topology::linear(), trace.num_items());
     let naive = model
         .trace_cost(&Placement::identity(trace.num_items()), &trace)
         .stats

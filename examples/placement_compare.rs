@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let graph = AccessGraph::from_trace(&trace);
     println!("{}: {}\n", kernel.name(), trace.stats());
 
-    let model = SinglePortCost::new();
+    let model = TopologyCost::single_port(Topology::linear(), graph.num_items());
     let config = DeviceConfig::default();
     let projection = CostProjection::new(&config);
 

@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .domains_per_track(l)
             .ports(ports)
             .build()?;
-        let model = MultiPortCost::new(config.port_layout().clone());
+        let model = TopologyCost::new(Topology::linear(), config.port_layout().clone(), l);
         let stats = model.trace_cost(&placement, &trace).stats;
         println!(
             "{:>6} {:>14.2} {:>16} {:>11.1}%",

@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Compare the naive first-touch placement with the proposed
     //    hybrid pipeline under the single-port shift model.
-    let model = SinglePortCost::new();
+    let model = TopologyCost::single_port(Topology::linear(), graph.num_items());
     let naive = Placement::identity(graph.num_items());
     let tuned = Hybrid::default().place(&graph);
     let naive_shifts = model.trace_cost(&naive, &trace).stats.shifts;

@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let graph = AccessGraph::from_trace(&loaded);
     let placement = Hybrid::default().place(&graph);
-    let model = SinglePortCost::new();
+    let model = TopologyCost::single_port(Topology::linear(), graph.num_items());
     let naive = model
         .trace_cost(&Placement::identity(graph.num_items()), &loaded)
         .stats

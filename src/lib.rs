@@ -8,7 +8,7 @@
 //! | [`device`] | `dwm-device` | racetrack device model: tracks, DBCs, ports, timing/energy |
 //! | [`trace`] | `dwm-trace` | access traces, synthetic generators, benchmark kernels |
 //! | [`graph`] | `dwm-graph` | weighted access graphs and generators |
-//! | [`core`] | `dwm-core` | placement algorithms, cost models, exact optima, SPM allocation, online placement |
+//! | [`core`] | `dwm-core` | placement algorithms, the shift-cost model, exact optima, SPM allocation, online placement |
 //! | [`cache`] | `dwm-cache` | DWM set-associative cache with shift-aware policies |
 //! | [`compile`] | `dwm-compile` | affine loop-nest IR → trace → data-layout pass |
 //! | [`isa`] | `dwm-isa` | basic-block layout for racetrack instruction memories |
@@ -22,7 +22,7 @@
 //! let trace = Trace::from_ids([0u32, 1, 2, 1, 0, 1, 2]);
 //! let graph = AccessGraph::from_trace(&trace);
 //! let placement = Hybrid::default().place(&graph);
-//! let model = SinglePortCost::new();
+//! let model = TopologyCost::single_port(Topology::linear(), graph.num_items());
 //! let tuned = model.trace_cost(&placement, &trace).stats.shifts;
 //! let naive = model
 //!     .trace_cost(&Placement::identity(3), &trace)
@@ -41,6 +41,12 @@ pub use dwm_graph as graph;
 pub use dwm_isa as isa;
 pub use dwm_sim as sim;
 pub use dwm_trace as trace;
+
+/// The README's Rust quickstart, compiled and run as a doctest so the
+/// code users copy cannot rot.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeQuickstart;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {

@@ -16,7 +16,6 @@
 use std::sync::Mutex;
 
 use dwm_placement::core::algorithms::TraceRefiner;
-use dwm_placement::core::cost::CostModel;
 use dwm_placement::core::online::{OnlineConfig, OnlinePlacer};
 use dwm_placement::core::partition::{Objective, Partitioner};
 use dwm_placement::graph::generators::{clustered_graph, random_graph};
@@ -117,7 +116,8 @@ fn artifacts() -> Vec<(&'static str, String)> {
     let trace = Kernel::MatMul { n: 8, block: 2 }.trace();
     let tg = AccessGraph::from_trace(&trace);
     out.push(("trace-refine", {
-        let model = MultiPortCost::evenly_spaced(4, tg.num_items());
+        let n = tg.num_items();
+        let model = TopologyCost::new(Topology::linear(), PortLayout::evenly_spaced(4, n), n);
         let mut p = Hybrid::default().place(&tg);
         let saved = TraceRefiner::default().refine(&model, &trace, &mut p);
         let cost = model.trace_cost(&p, &trace).stats.shifts;

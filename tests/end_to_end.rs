@@ -10,10 +10,10 @@ use dwm_placement::prelude::*;
 /// the proposed hybrid never loses to the naive baseline.
 #[test]
 fn full_suite_on_all_kernels() {
-    let model = SinglePortCost::new();
     for kernel in Kernel::suite() {
         let trace = kernel.trace();
         let graph = AccessGraph::from_trace(&trace);
+        let model = TopologyCost::single_port(Topology::linear(), graph.num_items());
         let naive = model
             .trace_cost(&Placement::identity(graph.num_items()), &trace)
             .stats
@@ -38,10 +38,10 @@ fn full_suite_on_all_kernels() {
 /// exactly for every kernel × a representative algorithm set.
 #[test]
 fn simulator_cross_validates_analytic_model() {
-    let model = SinglePortCost::new();
     for kernel in Kernel::suite() {
         let trace = kernel.trace();
         let graph = AccessGraph::from_trace(&trace);
+        let model = TopologyCost::single_port(Topology::linear(), graph.num_items());
         for alg in [
             &OrderOfAppearance as &dyn PlacementAlgorithm,
             &GroupedChainGrowth,
@@ -87,7 +87,7 @@ fn multi_port_model_matches_device() {
             .ports(ports)
             .build()
             .expect("valid");
-        let model = MultiPortCost::new(config.port_layout().clone());
+        let model = TopologyCost::new(Topology::linear(), config.port_layout().clone(), 32);
         let analytic = model.trace_cost(&placement, &trace).stats.shifts;
         let mut dbc = Dbc::new(&config);
         for a in trace.iter() {
@@ -166,7 +166,7 @@ fn spm_allocation_end_to_end() {
 fn projection_is_monotone_in_shifts() {
     let trace = Kernel::Fft { n: 32, block: 1 }.trace();
     let graph = AccessGraph::from_trace(&trace);
-    let model = SinglePortCost::new();
+    let model = TopologyCost::single_port(Topology::linear(), graph.num_items());
     let projection = CostProjection::new(&DeviceConfig::default());
     let naive = model
         .trace_cost(&Placement::identity(graph.num_items()), &trace)

@@ -100,7 +100,7 @@ fn online_placement_wins_on_stable_phases() {
         ..OnlineConfig::default()
     })
     .run(&trace);
-    let naive = SinglePortCost::new()
+    let naive = TopologyCost::single_port(Topology::linear(), 32)
         .trace_cost(&Placement::identity(32), &trace)
         .stats
         .shifts;
@@ -148,8 +148,11 @@ fn typed_ports_with_trace_refiner() {
     .trace();
     let graph = AccessGraph::from_trace(&trace);
     let n = graph.num_items();
-    let one_writer = TypedPortCost::new(TypedPortLayout::evenly_spaced(4, 1, n));
-    let all_writers = TypedPortCost::new(TypedPortLayout::evenly_spaced(4, 4, n));
+    let typed = |writers| {
+        let ports = TypedPortLayout::evenly_spaced(4, writers, n);
+        TopologyCost::typed(Topology::linear(), &ports, n)
+    };
+    let (one_writer, all_writers) = (typed(1), typed(4));
     let base = Hybrid::default().place(&graph);
     let mut refined = base.clone();
     TraceRefiner::default().refine(&one_writer, &trace, &mut refined);

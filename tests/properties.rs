@@ -62,7 +62,7 @@ fn trace_cost_equals_graph_cost_plus_alignment() {
         |(trace, seed)| {
             let graph = AccessGraph::from_trace(trace);
             let placement = RandomPlacement::new(*seed).place(&graph);
-            let model = SinglePortCost::new();
+            let model = TopologyCost::single_port(Topology::linear(), graph.num_items());
             let replay = model.trace_cost(&placement, trace).stats.shifts;
             let arrangement = graph.arrangement_cost(placement.offsets());
             let first = trace.accesses()[0].item;
@@ -114,8 +114,9 @@ fn local_search_is_monotone() {
     );
 }
 
-/// The multi-port model with a single port at offset 0 agrees with
-/// the single-port model on every trace and placement.
+/// Every way of asking for one port puts it at offset 0, and the
+/// linear model then charges exactly the pairwise `|Δoffset|` of
+/// consecutive accesses, on every trace and placement.
 #[test]
 fn single_port_models_agree() {
     Checker::new("single_port_models_agree").run(
@@ -123,12 +124,27 @@ fn single_port_models_agree() {
         |(trace, seed)| {
             let graph = AccessGraph::from_trace(trace);
             let p = RandomPlacement::new(*seed).place(&graph);
-            let a = SinglePortCost::new().trace_cost(&p, trace).stats.shifts;
-            let b = MultiPortCost::new(PortLayout::single())
-                .trace_cost(&p, trace)
-                .stats
-                .shifts;
-            require_eq!(a, b);
+            let l = graph.num_items();
+            let config = DeviceConfig::builder()
+                .domains_per_track(l)
+                .ports(1)
+                .build()
+                .expect("valid");
+            require_eq!(config.port_layout(), &PortLayout::single());
+            require_eq!(PortLayout::evenly_spaced(1, l), PortLayout::single());
+            // Reference: the tape starts with offset 0 under the port.
+            let mut at = 0usize;
+            let pairwise: u64 = trace
+                .iter()
+                .map(|a| {
+                    let next = p.offset_of_id(a.item);
+                    let d = at.abs_diff(next) as u64;
+                    at = next;
+                    d
+                })
+                .sum();
+            let model = TopologyCost::single_port(Topology::linear(), l);
+            require_eq!(model.trace_cost(&p, trace).stats.shifts, pairwise);
             Ok(())
         },
     );
@@ -189,7 +205,10 @@ fn simulator_matches_model_on_random_traces() {
         |(trace, seed)| {
             let graph = AccessGraph::from_trace(trace);
             let p = RandomPlacement::new(*seed).place(&graph);
-            let analytic = SinglePortCost::new().trace_cost(&p, trace).stats.shifts;
+            let analytic = TopologyCost::single_port(Topology::linear(), graph.num_items())
+                .trace_cost(&p, trace)
+                .stats
+                .shifts;
             // Three-way cross-validation: the frozen CSR arrangement
             // cost must match the analytic replay (minus the first
             // alignment) and the bit-level simulator below.
@@ -353,31 +372,28 @@ fn exact_solvers_agree() {
     );
 }
 
-/// A typed port layout with every port read-write agrees with the
-/// plain multi-port model; removing writers never helps.
+/// On every topology, a typed port layout with every port read-write
+/// agrees with the untyped model; removing writers never helps.
 #[test]
 fn typed_ports_are_consistent() {
-    use dwm_placement::device::TypedPortLayout;
     Checker::new("typed_ports_are_consistent").run(
         |rng| (arb_trace(rng, 16, 200), rng.gen_range(0..50u64)),
         |(trace, seed)| {
             let graph = AccessGraph::from_trace(trace);
             let p = RandomPlacement::new(*seed).place(&graph);
             let l = 16usize;
-            let all_rw = TypedPortCost::new(TypedPortLayout::evenly_spaced(4, 4, l))
-                .trace_cost(&p, trace)
-                .stats
-                .shifts;
-            let multi = MultiPortCost::evenly_spaced(4, l)
-                .trace_cost(&p, trace)
-                .stats
-                .shifts;
-            require_eq!(all_rw, multi);
-            let one_rw = TypedPortCost::new(TypedPortLayout::evenly_spaced(4, 1, l))
-                .trace_cost(&p, trace)
-                .stats
-                .shifts;
-            require!(one_rw >= all_rw);
+            for spec in ["linear", "ring", "grid2d:4x4", "pirm:4"] {
+                let topology = Topology::parse(spec).expect("valid spec");
+                let shifts = |model: TopologyCost| model.trace_cost(&p, trace).stats.shifts;
+                let typed = |writers| {
+                    let ports = TypedPortLayout::evenly_spaced(4, writers, l);
+                    TopologyCost::typed(topology, &ports, l)
+                };
+                let untyped = TopologyCost::new(topology, PortLayout::evenly_spaced(4, l), l);
+                let all_rw = shifts(typed(4));
+                require_eq!(all_rw, shifts(untyped), "{spec}");
+                require!(shifts(typed(1)) >= all_rw, "{spec}");
+            }
             Ok(())
         },
     );
