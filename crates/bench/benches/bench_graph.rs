@@ -1,36 +1,38 @@
-//! Frozen-graph (CSR) microbenchmarks and the solver entries the CSR
-//! rewire accelerates.
+//! CSR access-graph microbenchmarks and the solver entries that walk
+//! its rows.
 //!
-//! `graph/*` times the representation itself — freezing an access
-//! graph and streaming swap deltas through an [`ArrangementEval`] —
-//! while `algo/*` times the three inner-loop consumers whose medians
-//! the regression gate tracks: greedy insertion (the former worst
-//! offender), simulated annealing, and windowed local search.
+//! `graph/*` times the representation itself — building an access
+//! graph from a digest's rows and streaming swap deltas through an
+//! [`ArrangementEval`] — while `algo/*` times the three inner-loop
+//! consumers whose medians the regression gate tracks: greedy insertion
+//! (the former worst offender), simulated annealing, and windowed local
+//! search.
 
 use dwm_bench::{markov_fixture, BENCH_SEED};
 use dwm_core::{AnytimeSolver, SimulatedAnnealing, Tier};
 use dwm_core::{ChainGrowth, GreedyInsertion, LocalSearch, PlacementAlgorithm, RandomPlacement};
 use dwm_foundation::bench::{black_box, Harness};
 use dwm_foundation::par;
-use dwm_graph::{ArrangementEval, CsrGraph, GraphDigest};
+use dwm_graph::{ArrangementEval, GraphDigest};
 use dwm_trace::synth::{TraceGenerator, ZipfGen};
 
 fn main() {
     let mut h = Harness::from_env("graph");
     for n in [64usize, 256, 1024] {
-        let (_, graph) = markov_fixture(n);
+        let (trace, graph) = markov_fixture(n);
+        let digest = GraphDigest::from_dense(n, trace.iter().map(|a| a.item.index()));
 
-        // A batch of independent freezes, fanned over the workers, so
-        // the t1/t4 medians show both the single-freeze cost and that
-        // freezing parallelizes trivially.
-        let batch = [&graph, &graph, &graph, &graph];
+        // A batch of independent rows→graph builds (the step every
+        // solve takes from a digest), fanned over the workers, so the
+        // t1/t4 medians show both the single-build cost and that
+        // building parallelizes trivially.
+        let batch = [&digest, &digest, &digest, &digest];
         h.bench_threads(&format!("graph/csr_build/{n}"), || {
-            par::par_map(&batch, |g| CsrGraph::freeze(black_box(g)).num_edges())
+            par::par_map(&batch, |d| black_box(d).to_graph().num_edges())
         });
 
-        let csr = CsrGraph::freeze(&graph);
         let start: Vec<usize> = (0..n).collect();
-        let eval = ArrangementEval::new(&csr, &start);
+        let eval = ArrangementEval::new(&graph, &start);
         // Every in-window swap delta of a local-search pass, split into
         // per-worker chunks of query pairs.
         let pairs: Vec<(usize, usize)> = (0..n - 1)
@@ -46,9 +48,9 @@ fn main() {
             })
         });
 
-        let csrs = [&csr, &csr, &csr, &csr];
+        let graphs = [&graph, &graph, &graph, &graph];
         h.bench_threads(&format!("algo/insertion/{n}"), || {
-            par::par_map(&csrs, |c| GreedyInsertion.place_frozen(black_box(c)))
+            par::par_map(&graphs, |g| GreedyInsertion.place(black_box(g)))
         });
 
         let annealer = SimulatedAnnealing::new(BENCH_SEED).with_iterations(5_000);
@@ -59,7 +61,7 @@ fn main() {
         let rough = RandomPlacement::new(BENCH_SEED).place(&graph);
         h.bench(&format!("algo/local_search/{n}"), || {
             let mut p = rough.clone();
-            LocalSearch::default().refine_frozen(black_box(&csr), &mut p);
+            LocalSearch::default().refine(black_box(&graph), &mut p);
             p
         });
     }
@@ -75,17 +77,16 @@ fn main() {
     {
         let n = 4096usize;
         let (_, graph) = markov_fixture(n);
-        let csr = CsrGraph::freeze(&graph);
         let start = ChainGrowth.place(&graph);
         let ls = LocalSearch::default();
         h.bench(&format!("algo/local_search/{n}"), || {
             let mut p = start.clone();
-            ls.refine_frozen(black_box(&csr), &mut p);
+            ls.refine(black_box(&graph), &mut p);
             p
         });
         h.bench(&format!("algo/local_search_scalar/{n}"), || {
             let mut p = start.clone();
-            ls.refine_frozen_scalar(black_box(&csr), &mut p);
+            ls.refine_scalar(black_box(&graph), &mut p);
             p
         });
     }
@@ -99,19 +100,18 @@ fn main() {
         let trace = ZipfGen::new(256, BENCH_SEED).generate(8192);
         let ids: Vec<u32> = trace.iter().map(|a| a.item.index() as u32).collect();
         let graph = GraphDigest::from_ids(&ids).to_graph();
-        let csr = CsrGraph::freeze(&graph);
         let start = AnytimeSolver::new(BENCH_SEED)
-            .solve_frozen(&graph, &csr, Tier::Fast, 0)
+            .solve(&graph, Tier::Fast, 0)
             .placement;
         let ls = LocalSearch::default();
         h.bench("algo/local_search_zipf/256", || {
             let mut p = start.clone();
-            ls.refine_frozen(black_box(&csr), &mut p);
+            ls.refine(black_box(&graph), &mut p);
             p
         });
         h.bench("algo/local_search_zipf_scalar/256", || {
             let mut p = start.clone();
-            ls.refine_frozen_scalar(black_box(&csr), &mut p);
+            ls.refine_scalar(black_box(&graph), &mut p);
             p
         });
     }

@@ -529,11 +529,8 @@ fn cmd_eval(args: &ParsedArgs) -> CommandResult {
     topology
         .validate_for(tape_length)
         .map_err(CliError::usage)?;
-    let model = TopologyCost::new(
-        topology,
-        PortLayout::evenly_spaced(ports, tape_length),
-        tape_length,
-    );
+    let layout = topology.evenly_spaced_ports(ports, tape_length);
+    let model = TopologyCost::new(topology, layout, tape_length);
     Ok(format!(
         "{} under {}: {}",
         trace.label(),
@@ -564,10 +561,12 @@ fn cmd_device(args: &ParsedArgs) -> CommandResult {
 fn cmd_device_info(args: &ParsedArgs) -> CommandResult {
     use dwm_foundation::json::{Number, Object, Value};
     let topology = topology_flag(args)?;
+    let domains = args.opt_num("domains", 64)?;
+    let ports = topology.evenly_spaced_ports(args.opt_num("ports", 1)?, domains);
     let config = DeviceConfig::builder()
-        .domains_per_track(args.opt_num("domains", 64)?)
+        .domains_per_track(domains)
         .tracks_per_dbc(args.opt_num("tracks", 32)?)
-        .ports(args.opt_num("ports", 1)?)
+        .port_positions(ports.positions().iter().copied())
         .dbcs(args.opt_num("dbcs", 1)?)
         .build()
         .map_err(|e| CliError::usage(format!("invalid device config: {e}")))?;
@@ -1213,6 +1212,62 @@ mod tests {
             let evaluated = eval.rsplit(": ").next().unwrap().split(' ').next();
             assert_eq!(placed, evaluated, "{topology}: {place:?} vs {eval:?}");
         }
+        std::fs::remove_file(path).ok();
+        std::fs::remove_file(out_path).ok();
+    }
+
+    #[test]
+    fn grid_ports_sit_inside_the_columns_and_eval_uses_them() {
+        let path = temp_trace();
+        let out_path = std::env::temp_dir().join(format!(
+            "dwmplace_gridports_{}.placement.json",
+            std::process::id()
+        ));
+        run(&format!(
+            "place {} --out {}",
+            path.display(),
+            out_path.display()
+        ))
+        .unwrap();
+        let spec = "grid2d:4x8";
+        let info = run(&format!(
+            "device info --topology {spec} --ports 2 --domains 32"
+        ))
+        .unwrap();
+        let value = dwm_foundation::json::parse(&info).unwrap();
+        let ports = value.as_object().unwrap().get("ports").unwrap();
+        let positions: Vec<usize> = ports
+            .as_object()
+            .unwrap()
+            .get("positions")
+            .unwrap()
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|p| p.as_number().unwrap().as_u64().unwrap() as usize)
+            .collect();
+        assert_eq!(positions.len(), 2);
+        assert!(
+            positions.iter().all(|&p| p < 8),
+            "{positions:?} past column 7"
+        );
+
+        let eval = run(&format!(
+            "eval {} {} --ports 2 --tape-length 32 --topology {spec}",
+            path.display(),
+            out_path.display()
+        ))
+        .unwrap();
+        let trace = trace_io::load_text(&path).unwrap().normalize();
+        let placement: Placement =
+            dwm_foundation::json::from_str(&std::fs::read_to_string(&out_path).unwrap()).unwrap();
+        let by_hand = TopologyCost::new(
+            Topology::parse(spec).unwrap(),
+            PortLayout::at_positions(positions),
+            32,
+        );
+        let stats = by_hand.trace_cost(&placement, &trace).stats;
+        assert!(eval.ends_with(&format!(": {stats}")), "{eval} vs {stats}");
         std::fs::remove_file(path).ok();
         std::fs::remove_file(out_path).ok();
     }

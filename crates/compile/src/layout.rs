@@ -2,7 +2,7 @@
 
 use dwm_core::{Placement, PlacementAlgorithm, TopologyCost};
 use dwm_device::Topology;
-use dwm_graph::AccessGraph;
+use dwm_graph::GraphDigest;
 use dwm_trace::Trace;
 
 use crate::exec::{execute, ExecError};
@@ -67,17 +67,9 @@ pub fn assign_layout(
     // order), but a program need not touch every block; pad the graph
     // to the program's full item count so untouched blocks still get
     // offsets.
-    let mut graph = AccessGraph::with_items(program.total_items());
-    for pair in trace.accesses().windows(2) {
-        let (u, v) = (pair[0].item.index(), pair[1].item.index());
-        if u != v {
-            graph.add_weight(u, v, 1);
-        }
-    }
-    for a in trace.iter() {
-        let i = a.item.index();
-        graph.set_frequency(i, graph.frequency(i) + 1);
-    }
+    let graph =
+        GraphDigest::from_dense(program.total_items(), trace.iter().map(|a| a.item.index()))
+            .to_graph();
     let placement = algorithm.place(&graph);
     let model = TopologyCost::single_port(Topology::linear(), program.total_items());
     let naive_shifts = model

@@ -1,6 +1,6 @@
 use dwm_foundation::Rng;
 
-use dwm_graph::{AccessGraph, ArrangementEval, CsrGraph};
+use dwm_graph::{AccessGraph, ArrangementEval};
 
 use crate::algorithms::chain::ChainGrowth;
 use crate::algorithms::PlacementAlgorithm;
@@ -10,10 +10,10 @@ use crate::placement::Placement;
 ///
 /// A strong stochastic comparator: starts from the [`ChainGrowth`]
 /// solution and explores swaps of two items' offsets with the classic
-/// Metropolis acceptance rule and geometric cooling. The graph is
-/// frozen to a [`CsrGraph`] at entry and all cost deltas come from an
-/// [`ArrangementEval`], so each move is `O(deg(a) + deg(b))` over flat
-/// arrays rather than `O(E)` tree walks. The best placement is not
+/// Metropolis acceptance rule and geometric cooling. All cost deltas
+/// come from an [`ArrangementEval`] over the graph's CSR rows, so each
+/// move is `O(deg(a) + deg(b))` over flat arrays rather than an `O(E)`
+/// recompute. The best placement is not
 /// cloned on improvement; it is recorded as a depth into the
 /// evaluator's move log and recovered by unwinding at the end.
 ///
@@ -47,18 +47,18 @@ impl SimulatedAnnealing {
         self
     }
 
-    /// Anneals from `start` on an already-frozen graph. This is the
-    /// whole algorithm; [`place`](PlacementAlgorithm::place) just
-    /// freezes and delegates. Callers that run many anneals on one
-    /// graph (e.g. [`MultiStart`](crate::MultiStart)) freeze once and
-    /// call this directly.
-    pub fn place_frozen(&self, csr: &CsrGraph, start: Placement) -> Placement {
-        let n = csr.num_items();
+    /// Anneals `graph` from `start`. This is the whole algorithm;
+    /// [`place`](PlacementAlgorithm::place) starts it from
+    /// [`ChainGrowth`], and portfolios (e.g.
+    /// [`MultiStart`](crate::MultiStart)) call it from starts of their
+    /// own.
+    pub fn anneal(&self, graph: &AccessGraph, start: Placement) -> Placement {
+        let n = graph.num_items();
         if n < 2 {
             return start;
         }
         let mut rng = Rng::seed_from_u64(self.seed);
-        let mut eval = ArrangementEval::new(csr, start.offsets());
+        let mut eval = ArrangementEval::new(graph, start.offsets());
         let mut current_cost = eval.total() as i64;
         let mut best_cost = current_cost;
         // Depth into the move log at which the best placement lives;
@@ -146,9 +146,7 @@ impl PlacementAlgorithm for SimulatedAnnealing {
         if n < 2 {
             return Placement::identity(n);
         }
-        let start = ChainGrowth.place(graph);
-        let csr = CsrGraph::freeze(graph);
-        self.place_frozen(&csr, start)
+        self.anneal(graph, ChainGrowth.place(graph))
     }
 }
 
@@ -160,10 +158,9 @@ mod tests {
     #[test]
     fn eval_swap_delta_matches_graph_recomputation() {
         let g = kernel_graph();
-        let csr = CsrGraph::freeze(&g);
         let mut p = ChainGrowth.place(&g);
         let before = g.arrangement_cost(p.offsets()) as i64;
-        let eval = ArrangementEval::new(&csr, p.offsets());
+        let eval = ArrangementEval::new(&g, p.offsets());
         for (a, b) in [(0usize, 3usize), (1, 5), (2, 4)] {
             let delta = eval.swap_delta(a, b);
             p.swap_items(a, b);
@@ -205,13 +202,12 @@ mod tests {
     }
 
     #[test]
-    fn frozen_entry_point_matches_place() {
+    fn place_anneals_from_chain_growth() {
         let g = two_cluster_graph();
         let via_place = SimulatedAnnealing::new(5).with_iterations(3000).place(&g);
-        let csr = CsrGraph::freeze(&g);
-        let via_frozen = SimulatedAnnealing::new(5)
+        let via_anneal = SimulatedAnnealing::new(5)
             .with_iterations(3000)
-            .place_frozen(&csr, ChainGrowth.place(&g));
-        assert_eq!(via_place, via_frozen);
+            .anneal(&g, ChainGrowth.place(&g));
+        assert_eq!(via_place, via_anneal);
     }
 }

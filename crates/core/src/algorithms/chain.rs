@@ -27,9 +27,8 @@ use crate::placement::Placement;
 /// use dwm_graph::AccessGraph;
 /// use dwm_core::{ChainGrowth, PlacementAlgorithm};
 ///
-/// let mut g = AccessGraph::with_items(3);
-/// g.add_weight(0, 2, 10); // hot pair
-/// g.add_weight(0, 1, 1);
+/// // Frequencies 0; edge {0,2} is the hot pair.
+/// let g = AccessGraph::from_edges(vec![0; 3], [(0, 2, 10), (0, 1, 1)]);
 /// let p = ChainGrowth::default().place(&g);
 /// // Hot pair ends up adjacent on the tape.
 /// let d = (p.offset_of(0) as i64 - p.offset_of(2) as i64).abs();
@@ -287,9 +286,7 @@ mod tests {
 
     #[test]
     fn single_heavy_edge_is_adjacent() {
-        let mut g = AccessGraph::with_items(8);
-        g.add_weight(1, 6, 100);
-        g.add_weight(0, 7, 1);
+        let g = AccessGraph::from_edges(vec![0; 8], [(1, 6, 100), (0, 7, 1)]);
         let p = GroupedChainGrowth.place(&g);
         assert_eq!(
             (p.offset_of(1) as i64 - p.offset_of(6) as i64).abs(),

@@ -1,5 +1,5 @@
 use dwm_foundation::par;
-use dwm_graph::{AccessGraph, CsrGraph};
+use dwm_graph::AccessGraph;
 
 use crate::algorithms::chain::{ChainGrowth, GroupedChainGrowth};
 use crate::algorithms::frequency::OrganPipe;
@@ -59,30 +59,28 @@ impl PlacementAlgorithm for Hybrid {
     }
 
     fn place(&self, graph: &AccessGraph) -> Placement {
-        // The graph is frozen once; every candidate, the scoring, and
-        // the refiner share the CSR arrays. The portfolio's
-        // constructive candidates run in parallel (they are
-        // independent); the winner is picked by (cost, roster
-        // position), so the choice is identical at any worker count.
-        // The naive identity placement leads the roster, preserving the
-        // never-worse-than-naive guarantee.
-        let csr = CsrGraph::freeze(graph);
+        // Every candidate, the scoring, and the refiner share the
+        // graph's CSR rows. The portfolio's constructive candidates run
+        // in parallel (they are independent); the winner is picked by
+        // (cost, roster position), so the choice is identical at any
+        // worker count. The naive identity placement leads the roster,
+        // preserving the never-worse-than-naive guarantee.
         type Candidate<'a> = Box<dyn Fn() -> Placement + Sync + 'a>;
         let mut candidates: Vec<Candidate<'_>> = vec![
             Box::new(|| Placement::identity(graph.num_items())),
             Box::new(|| OrganPipe.place(graph)),
             Box::new(|| ChainGrowth.place(graph)),
             Box::new(|| GroupedChainGrowth.place(graph)),
-            Box::new(|| Spectral::default().place_frozen(&csr)),
+            Box::new(|| Spectral::default().place(graph)),
         ];
         // GreedyInsertion scales as O(n·(n + E)); skip it on large
         // graphs where its marginal benefit cannot justify the latency.
         if graph.num_items() <= 512 {
-            candidates.push(Box::new(|| GreedyInsertion.place_frozen(&csr)));
+            candidates.push(Box::new(|| GreedyInsertion.place(graph)));
         }
         let scored = par::par_map(&candidates, |candidate| {
             let p = candidate();
-            let cost = csr.arrangement_cost(p.offsets());
+            let cost = graph.arrangement_cost(p.offsets());
             (cost, p)
         });
         let mut best = scored
@@ -90,7 +88,7 @@ impl PlacementAlgorithm for Hybrid {
             .min_by_key(|(cost, _)| *cost)
             .expect("roster is never empty")
             .1;
-        self.refiner.refine_frozen(&csr, &mut best);
+        self.refiner.refine(graph, &mut best);
         best
     }
 }

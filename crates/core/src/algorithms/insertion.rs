@@ -1,4 +1,4 @@
-use dwm_graph::{AccessGraph, CsrGraph};
+use dwm_graph::AccessGraph;
 
 use crate::algorithms::PlacementAlgorithm;
 use crate::placement::Placement;
@@ -43,15 +43,18 @@ use crate::placement::Placement;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GreedyInsertion;
 
-impl GreedyInsertion {
-    /// [`place`](PlacementAlgorithm::place) on an already-frozen graph.
-    pub fn place_frozen(&self, csr: &CsrGraph) -> Placement {
-        let n = csr.num_items();
+impl PlacementAlgorithm for GreedyInsertion {
+    fn name(&self) -> String {
+        "insertion".into()
+    }
+
+    fn place(&self, graph: &AccessGraph) -> Placement {
+        let n = graph.num_items();
         if n == 0 {
             return Placement::identity(0);
         }
         let mut items: Vec<usize> = (0..n).collect();
-        items.sort_by_key(|&v| (std::cmp::Reverse(csr.degree(v)), v));
+        items.sort_by_key(|&v| (std::cmp::Reverse(graph.degree(v)), v));
 
         let mut order: Vec<usize> = Vec::with_capacity(n);
         let mut pos = vec![usize::MAX; n];
@@ -66,7 +69,7 @@ impl GreedyInsertion {
             //        + Σ_z w(v,z)·(pos(z) + 1 − k)    for placed z at/after k
             // tracked via weight sums (s_*) and position moments (m_*).
             let (mut s_less, mut m_less, mut s_geq, mut m_geq) = (0u64, 0u64, 0u64, 0u64);
-            let (vs, ws) = csr.neighbor_slices(v);
+            let (vs, ws) = graph.neighbor_slices(v);
             for (&z, &w) in vs.iter().zip(ws) {
                 weight_to_v[z as usize] = w;
                 let pz = pos[z as usize];
@@ -95,7 +98,7 @@ impl GreedyInsertion {
                 }
                 // Advance the boundary past order[k].
                 let u = order[k];
-                let (uvs, uws) = csr.neighbor_slices(u);
+                let (uvs, uws) = graph.neighbor_slices(u);
                 let (mut to_left, mut to_right) = (0u64, 0u64);
                 for (&z, &w) in uvs.iter().zip(uws) {
                     let pz = pos[z as usize];
@@ -127,16 +130,6 @@ impl GreedyInsertion {
             prefix_cost = best_cost;
         }
         Placement::from_order(order)
-    }
-}
-
-impl PlacementAlgorithm for GreedyInsertion {
-    fn name(&self) -> String {
-        "insertion".into()
-    }
-
-    fn place(&self, graph: &AccessGraph) -> Placement {
-        self.place_frozen(&CsrGraph::freeze(graph))
     }
 }
 

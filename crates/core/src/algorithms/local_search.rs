@@ -1,4 +1,4 @@
-use dwm_graph::{AccessGraph, ArrangementEval, CsrGraph};
+use dwm_graph::{AccessGraph, ArrangementEval};
 
 use crate::algorithms::PlacementAlgorithm;
 use crate::placement::Placement;
@@ -12,15 +12,14 @@ use crate::placement::Placement;
 /// converge fast but get trapped in shallow minima on structured
 /// graphs (grids, butterflies); a modest window escapes most of them
 /// while keeping a pass at `O(n · window + E)`: each candidate pair's
-/// delta is `O(1)` from window-local sums over the frozen
-/// [`CsrGraph`] (see [`refine_frozen`](LocalSearch::refine_frozen)).
+/// delta is `O(1)` from window-local sums over the graph's CSR rows
+/// (see [`refine`](LocalSearch::refine)).
 ///
-/// `LocalSearch` is both a standalone refiner ([`LocalSearch::refine`])
-/// and composable: call [`refine`](LocalSearch::refine) on any
-/// algorithm's output, which is what the experiment harness's "+LS"
-/// variants and the [`Hybrid`](crate::algorithms::Hybrid) pipeline do.
-/// Pipelines that already hold a frozen graph use
-/// [`refine_frozen`](LocalSearch::refine_frozen) to skip re-freezing.
+/// `LocalSearch` is both a standalone algorithm (it refines the
+/// identity placement) and composable: call
+/// [`refine`](LocalSearch::refine) on any algorithm's output, which is
+/// what the experiment harness's "+LS" variants and the
+/// [`Hybrid`](crate::algorithms::Hybrid) pipeline do.
 ///
 /// Refinement never increases cost (each accepted move strictly
 /// decreases it), an invariant the property tests enforce.
@@ -59,15 +58,6 @@ impl LocalSearch {
 
     /// Refines `placement` in place; returns the total cost reduction
     /// achieved (non-negative).
-    pub fn refine(&self, graph: &AccessGraph, placement: &mut Placement) -> u64 {
-        if placement.num_items() < 2 {
-            return 0;
-        }
-        let csr = CsrGraph::freeze(graph);
-        self.refine_frozen(&csr, placement)
-    }
-
-    /// [`refine`](Self::refine) on an already-frozen graph.
     ///
     /// Every candidate pair's delta is exact and `O(1)`: it is read off
     /// window-local state instead of the two items' neighbour rows.
@@ -101,19 +91,20 @@ impl LocalSearch {
     /// All-integer: each delta equals [`ArrangementEval::swap_delta`]
     /// exactly (the apply re-checks that in debug builds), so the swap
     /// sequence is byte-identical to
-    /// [`refine_frozen_scalar`](Self::refine_frozen_scalar) — the golden
-    /// equivalence tests and a differential property test pin that.
-    pub fn refine_frozen(&self, csr: &CsrGraph, placement: &mut Placement) -> u64 {
+    /// [`refine_scalar`](Self::refine_scalar) — the golden equivalence
+    /// tests and a differential property test pin that.
+    pub fn refine(&self, graph: &AccessGraph, placement: &mut Placement) -> u64 {
         let n = placement.num_items();
         if n < 2 {
             return 0;
         }
         let w = self.window.min(n - 1);
-        let mut eval = ArrangementEval::new(csr, placement.offsets());
+        let mut eval = ArrangementEval::new(graph, placement.offsets());
         let mut left: Vec<i64> = (0..n)
             .map(|x| {
                 let px = eval.position_of(x);
-                csr.neighbors(x)
+                graph
+                    .neighbors(x)
                     .filter(|&(v, _)| eval.position_of(v) < px)
                     .map(|(_, wt)| wt as i64)
                     .sum()
@@ -143,8 +134,8 @@ impl LocalSearch {
                     q_a += j as i64 * ab;
                     let (s_b, q_b) = window.sums(j);
                     let (d, jk) = ((j - k) as i64, (j + k) as i64);
-                    let (la, wa) = (left[a], csr.degree(a) as i64);
-                    let (lb, wb) = (left[b], csr.degree(b) as i64);
+                    let (la, wa) = (left[a], graph.degree(a) as i64);
+                    let (lb, wb) = (left[b], graph.degree(b) as i64);
                     // a's own edges, b's own edges, the shared edge.
                     let moved_a = d * la - d * (wa - la - s_a) + jk * s_a - 2 * q_a;
                     let moved_b = d * (wb - lb) - d * (lb - s_b) + 2 * q_b - jk * s_b;
@@ -175,20 +166,20 @@ impl LocalSearch {
         saved as u64
     }
 
-    /// The scalar reference for [`refine_frozen`](Self::refine_frozen):
+    /// The scalar reference for [`refine`](Self::refine):
     /// the same windowed first-improvement scan, but every candidate
     /// pair pays a full two-row [`ArrangementEval::swap_delta`]. Kept
     /// callable so the golden equivalence tests and the
     /// `algo/local_search` bench pairs can pin the window-local kernel
     /// against it; both must produce byte-identical placements and
     /// savings.
-    pub fn refine_frozen_scalar(&self, csr: &CsrGraph, placement: &mut Placement) -> u64 {
+    pub fn refine_scalar(&self, graph: &AccessGraph, placement: &mut Placement) -> u64 {
         let n = placement.num_items();
         if n < 2 {
             return 0;
         }
         let w = self.window.min(n - 1);
-        let mut eval = ArrangementEval::new(csr, placement.offsets());
+        let mut eval = ArrangementEval::new(graph, placement.offsets());
         let mut saved = 0i64;
         let (mut passes, mut swaps) = (0u64, 0u64);
         for _ in 0..self.max_passes {
@@ -232,7 +223,7 @@ impl LocalSearch {
     }
 }
 
-/// The window-local state of [`LocalSearch::refine_frozen`]'s scan
+/// The window-local state of [`LocalSearch::refine`]'s scan
 /// at anchor slot `k`, for the window of slots `[k, hi]`: the weights
 /// `ω(s, q)` among the window's items, in a `size × size` ring indexed
 /// by `slot & mask`, and each window slot `q`'s partial sums
@@ -412,13 +403,12 @@ mod tests {
     #[test]
     fn eval_position_swap_delta_matches_recomputation() {
         let g = two_cluster_graph();
-        let csr = CsrGraph::freeze(&g);
         let mut p = RandomPlacement::new(11).place(&g);
         let n = p.num_items();
         for k in 0..n {
             for j in (k + 1)..n {
                 let before = g.arrangement_cost(p.offsets()) as i64;
-                let eval = ArrangementEval::new(&csr, p.offsets());
+                let eval = ArrangementEval::new(&g, p.offsets());
                 let (a, b) = (p.item_at(k), p.item_at(j));
                 let delta = eval.swap_delta(a, b);
                 p.swap_items(a, b);
@@ -432,11 +422,10 @@ mod tests {
     #[test]
     fn converges_to_local_optimum() {
         let g = kernel_graph();
-        let csr = CsrGraph::freeze(&g);
         let mut p = RandomPlacement::new(3).place(&g);
         LocalSearch::default().refine(&g, &mut p);
         // No in-window swap may improve further.
-        let eval = ArrangementEval::new(&csr, p.offsets());
+        let eval = ArrangementEval::new(&g, p.offsets());
         let n = p.num_items();
         for k in 0..n - 1 {
             for j in (k + 1)..(k + 1 + LocalSearch::default().window).min(n) {
@@ -448,18 +437,15 @@ mod tests {
     #[test]
     fn windows_wider_than_the_tape_search_the_whole_tape() {
         let g = dwm_graph::generators::random_graph(10, 0.5, 9, 4);
-        let csr = CsrGraph::freeze(&g);
         let start = RandomPlacement::new(2).place(&g);
-        let kernels: [fn(&LocalSearch, &CsrGraph, &mut Placement) -> u64; 2] = [
-            LocalSearch::refine_frozen,
-            LocalSearch::refine_frozen_scalar,
-        ];
+        let kernels: [fn(&LocalSearch, &AccessGraph, &mut Placement) -> u64; 2] =
+            [LocalSearch::refine, LocalSearch::refine_scalar];
         let mut results = Vec::new();
         for window in [9, 10, 1 << 40, usize::MAX] {
             let ls = LocalSearch::default().with_window(window);
             for kernel in kernels {
                 let mut p = start.clone();
-                let saved = kernel(&ls, &csr, &mut p);
+                let saved = kernel(&ls, &g, &mut p);
                 results.push((p, saved));
             }
         }
@@ -473,29 +459,16 @@ mod tests {
             (kernel_graph(), [3u64, 7, 11]),
             (two_cluster_graph(), [1, 5, 9]),
         ] {
-            let csr = CsrGraph::freeze(&g);
             for seed in seeds {
                 let mut fast = RandomPlacement::new(seed).place(&g);
                 let mut scalar = fast.clone();
                 let ls = LocalSearch::default();
-                let saved_fast = ls.refine_frozen(&csr, &mut fast);
-                let saved_scalar = ls.refine_frozen_scalar(&csr, &mut scalar);
+                let saved_fast = ls.refine(&g, &mut fast);
+                let saved_scalar = ls.refine_scalar(&g, &mut scalar);
                 assert_eq!(fast, scalar, "placements diverged (seed {seed})");
                 assert_eq!(saved_fast, saved_scalar, "savings diverged (seed {seed})");
             }
         }
-    }
-
-    #[test]
-    fn frozen_entry_point_matches_refine() {
-        let g = two_cluster_graph();
-        let csr = CsrGraph::freeze(&g);
-        let mut a = RandomPlacement::new(7).place(&g);
-        let mut b = a.clone();
-        let saved_a = LocalSearch::default().refine(&g, &mut a);
-        let saved_b = LocalSearch::default().refine_frozen(&csr, &mut b);
-        assert_eq!(a, b);
-        assert_eq!(saved_a, saved_b);
     }
 
     #[test]

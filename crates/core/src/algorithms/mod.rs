@@ -2,8 +2,10 @@
 //!
 //! Every algorithm consumes an [`AccessGraph`] (edge weights = adjacent
 //! co-access counts, vertex weights = access frequencies) and produces
-//! a [`Placement`]. The suite mirrors the comparison set of the paper's
-//! evaluation:
+//! a [`Placement`]. The graph is already in CSR form, so each solver
+//! has one entry point per job and walks flat neighbour rows directly;
+//! no solver builds or converts a graph of its own. The suite mirrors
+//! the comparison set of the paper's evaluation:
 //!
 //! | Algorithm | Role |
 //! |-----------|------|
@@ -96,6 +98,7 @@ pub fn standard_suite(seed: u64) -> Vec<Box<dyn PlacementAlgorithm>> {
 
 #[cfg(test)]
 pub(crate) mod test_support {
+    use dwm_graph::generators::degree_weighted;
     use dwm_graph::AccessGraph;
     use dwm_trace::Trace;
 
@@ -106,19 +109,19 @@ pub(crate) mod test_support {
 
     /// A small graph with an obvious good order: two heavy clusters.
     pub fn two_cluster_graph() -> AccessGraph {
-        let mut g = AccessGraph::with_items(6);
         // Cluster {0,1,2} and {3,4,5}, heavy inside, light across.
-        for &(u, v) in &[(0, 1), (1, 2), (0, 2)] {
-            g.add_weight(u, v, 10);
-        }
-        for &(u, v) in &[(3, 4), (4, 5), (3, 5)] {
-            g.add_weight(u, v, 10);
-        }
-        g.add_weight(2, 3, 1);
-        for u in 0..6 {
-            g.set_frequency(u, g.degree(u));
-        }
-        g
+        degree_weighted(
+            6,
+            vec![
+                (0, 1, 10),
+                (1, 2, 10),
+                (0, 2, 10),
+                (3, 4, 10),
+                (4, 5, 10),
+                (3, 5, 10),
+                (2, 3, 1),
+            ],
+        )
     }
 
     /// Graph of a short representative trace.
@@ -131,18 +134,18 @@ pub(crate) mod test_support {
     /// ({0,2,4} and {1,3,5}), so the identity placement scatters them —
     /// the case adjacency-driven placement exists to fix.
     pub fn interleaved_cluster_graph() -> AccessGraph {
-        let mut g = AccessGraph::with_items(6);
-        for &(u, v) in &[(0, 2), (2, 4), (0, 4)] {
-            g.add_weight(u, v, 10);
-        }
-        for &(u, v) in &[(1, 3), (3, 5), (1, 5)] {
-            g.add_weight(u, v, 10);
-        }
-        g.add_weight(4, 1, 1);
-        for u in 0..6 {
-            g.set_frequency(u, g.degree(u));
-        }
-        g
+        degree_weighted(
+            6,
+            vec![
+                (0, 2, 10),
+                (2, 4, 10),
+                (0, 4, 10),
+                (1, 3, 10),
+                (3, 5, 10),
+                (1, 5, 10),
+                (4, 1, 1),
+            ],
+        )
     }
 }
 

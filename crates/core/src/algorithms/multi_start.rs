@@ -1,5 +1,5 @@
 use dwm_foundation::par;
-use dwm_graph::{AccessGraph, CsrGraph};
+use dwm_graph::AccessGraph;
 
 use crate::algorithms::annealing::SimulatedAnnealing;
 use crate::algorithms::chain::ChainGrowth;
@@ -69,10 +69,9 @@ impl PlacementAlgorithm for MultiStart {
     }
 
     fn place(&self, graph: &AccessGraph) -> Placement {
-        // Freeze once and compute the (seed-independent) ChainGrowth
-        // start once; every restart shares both.
+        // The (seed-independent) ChainGrowth start is computed once;
+        // every restart shares it.
         let n = graph.num_items();
-        let csr = CsrGraph::freeze(graph);
         let start = if n < 2 {
             Placement::identity(n)
         } else {
@@ -82,9 +81,9 @@ impl PlacementAlgorithm for MultiStart {
         let scored = par::par_map(&seeds, |&restart_seed| {
             let mut annealer = self.annealer;
             annealer.seed = restart_seed;
-            let mut p = annealer.place_frozen(&csr, start.clone());
-            self.refiner.refine_frozen(&csr, &mut p);
-            (csr.arrangement_cost(p.offsets()), p)
+            let mut p = annealer.anneal(graph, start.clone());
+            self.refiner.refine(graph, &mut p);
+            (graph.arrangement_cost(p.offsets()), p)
         });
         scored
             .into_iter()

@@ -1,4 +1,4 @@
-use dwm_graph::{AccessGraph, CsrGraph};
+use dwm_graph::AccessGraph;
 
 use crate::algorithms::PlacementAlgorithm;
 use crate::placement::Placement;
@@ -33,21 +33,15 @@ impl Spectral {
     /// Computes (an approximation of) the Fiedler vector of `graph`.
     ///
     /// Returns a zero vector for graphs with fewer than 2 vertices.
+    /// The power iteration streams CSR neighbour slices in ascending
+    /// neighbour order, so the floating-point accumulation — and
+    /// therefore the resulting ordering — is fixed for a given graph.
     pub fn fiedler_vector(&self, graph: &AccessGraph) -> Vec<f64> {
-        self.fiedler_vector_frozen(&CsrGraph::freeze(graph))
-    }
-
-    /// [`fiedler_vector`](Self::fiedler_vector) on an already-frozen
-    /// graph. The power iteration streams CSR neighbour slices in the
-    /// same order the `BTreeMap` walk used, so the floating-point
-    /// accumulation — and therefore the resulting ordering — is
-    /// unchanged.
-    pub fn fiedler_vector_frozen(&self, csr: &CsrGraph) -> Vec<f64> {
-        let n = csr.num_items();
+        let n = graph.num_items();
         if n < 2 {
             return vec![0.0; n];
         }
-        let c = 2.0 * (0..n).map(|u| csr.degree(u) as f64).fold(0.0, f64::max) + 1.0;
+        let c = 2.0 * (0..n).map(|u| graph.degree(u) as f64).fold(0.0, f64::max) + 1.0;
 
         // Deterministic, non-degenerate start vector orthogonal to 1.
         let mut x: Vec<f64> = (0..n).map(|i| (i as f64).sin() + 0.25).collect();
@@ -58,8 +52,8 @@ impl Spectral {
         for _ in 0..self.max_iters {
             // y = (cI − L)x = c·x − D·x + W·x, matrix-free.
             for (u, out) in y.iter_mut().enumerate() {
-                let mut acc = (c - csr.degree(u) as f64) * x[u];
-                let (vs, ws) = csr.neighbor_slices(u);
+                let mut acc = (c - graph.degree(u) as f64) * x[u];
+                let (vs, ws) = graph.neighbor_slices(u);
                 for (&v, &w) in vs.iter().zip(ws) {
                     acc += w as f64 * x[v as usize];
                 }
@@ -78,12 +72,6 @@ impl Spectral {
             }
         }
         x
-    }
-
-    /// [`place`](PlacementAlgorithm::place) on an already-frozen graph.
-    pub fn place_frozen(&self, csr: &CsrGraph) -> Placement {
-        let fiedler = self.fiedler_vector_frozen(csr);
-        spectral_order(&fiedler, csr.num_items())
     }
 }
 
@@ -128,7 +116,7 @@ impl PlacementAlgorithm for Spectral {
     }
 
     fn place(&self, graph: &AccessGraph) -> Placement {
-        self.place_frozen(&CsrGraph::freeze(graph))
+        spectral_order(&self.fiedler_vector(graph), graph.num_items())
     }
 }
 

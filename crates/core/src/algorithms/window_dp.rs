@@ -1,4 +1,4 @@
-use dwm_graph::{AccessGraph, CsrGraph};
+use dwm_graph::AccessGraph;
 
 use crate::placement::Placement;
 
@@ -60,7 +60,7 @@ impl WindowedDp {
     /// `placement`; returns `true` if the order changed.
     fn solve_window(
         &self,
-        csr: &CsrGraph,
+        graph: &AccessGraph,
         placement: &mut Placement,
         base: usize,
         local_of: &mut [usize],
@@ -83,7 +83,7 @@ impl WindowedDp {
         let mut ext = vec![vec![0u64; w]; w];
         let mut wmat = vec![0u64; w * w];
         for (li, &v) in items.iter().enumerate() {
-            let (us, ws) = csr.neighbor_slices(v);
+            let (us, ws) = graph.neighbor_slices(v);
             for (&u, &weight) in us.iter().zip(ws) {
                 let lj = local_of[u as usize];
                 if lj != usize::MAX {
@@ -161,10 +161,10 @@ impl WindowedDp {
         }
         // Apply only if the full arrangement cost actually improves
         // (guards the window model against edge-case mismatches).
-        let before = csr.arrangement_cost(placement.offsets());
+        let before = graph.arrangement_cost(placement.offsets());
         let mut candidate = placement.clone();
         apply_window_order(&mut candidate, base, &items, &order);
-        let after = csr.arrangement_cost(candidate.offsets());
+        let after = graph.arrangement_cost(candidate.offsets());
         if after < before {
             *placement = candidate;
             true
@@ -175,33 +175,25 @@ impl WindowedDp {
 
     /// Refines `placement` in place; returns the total cost reduction.
     pub fn refine(&self, graph: &AccessGraph, placement: &mut Placement) -> u64 {
-        if placement.num_items() < 3 {
-            return 0;
-        }
-        self.refine_frozen(&CsrGraph::freeze(graph), placement)
-    }
-
-    /// [`refine`](Self::refine) on an already-frozen graph.
-    pub fn refine_frozen(&self, csr: &CsrGraph, placement: &mut Placement) -> u64 {
         let n = placement.num_items();
         if n < 3 {
             return 0;
         }
-        let before = csr.arrangement_cost(placement.offsets());
+        let before = graph.arrangement_cost(placement.offsets());
         let step = (self.window / 2).max(1);
         let mut local_of = vec![usize::MAX; n];
         for _ in 0..self.max_passes {
             let mut improved = false;
             let mut base = 0usize;
             while base + 2 <= n {
-                improved |= self.solve_window(csr, placement, base, &mut local_of);
+                improved |= self.solve_window(graph, placement, base, &mut local_of);
                 base += step;
             }
             if !improved {
                 break;
             }
         }
-        before - csr.arrangement_cost(placement.offsets())
+        before - graph.arrangement_cost(placement.offsets())
     }
 }
 

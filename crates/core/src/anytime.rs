@@ -5,10 +5,9 @@
 //! finding better arrangements for as long as it is allowed to run.
 //! This module productizes that spectrum as three named tiers:
 //!
-//! * **Tier 0 ([`Tier::Fast`])** — the greedy CSR fast path: freeze
-//!   the graph once, run grouped chain growth, and keep the better of
-//!   it and the naive identity order. Never worse than naive, by
-//!   construction.
+//! * **Tier 0 ([`Tier::Fast`])** — the greedy CSR fast path: run
+//!   grouped chain growth and keep the better of it and the naive
+//!   identity order. Never worse than naive, by construction.
 //! * **Tier 1 ([`Tier::Refined`])** — tier 0 refined by windowed
 //!   [`LocalSearch`] under an explicit pass budget, so a caller's
 //!   remaining deadline translates directly into refinement effort.
@@ -41,7 +40,7 @@
 //! relies on exactly that.
 
 use dwm_foundation::par;
-use dwm_graph::{AccessGraph, CsrGraph};
+use dwm_graph::AccessGraph;
 
 use crate::algorithms::{
     GroupedChainGrowth, Hybrid, LocalSearch, PlacementAlgorithm, SimulatedAnnealing,
@@ -197,34 +196,22 @@ impl AnytimeSolver {
     /// budget (ignored by tier 0; tier 2 always refines with
     /// [`MAX_PASSES`]).
     pub fn solve(&self, graph: &AccessGraph, tier: Tier, passes: usize) -> AnytimeOutcome {
-        let csr = CsrGraph::freeze(graph);
-        self.solve_frozen(graph, &csr, tier, passes)
-    }
-
-    /// [`solve`](Self::solve) against an already-frozen graph.
-    pub fn solve_frozen(
-        &self,
-        graph: &AccessGraph,
-        csr: &CsrGraph,
-        tier: Tier,
-        passes: usize,
-    ) -> AnytimeOutcome {
         match tier {
-            Tier::Fast => self.tier0(graph, csr),
-            Tier::Refined => self.tier1(graph, csr, passes),
-            Tier::Thorough => self.tier2(graph, csr),
-            Tier::Exact => self.tier_exact(graph, csr),
+            Tier::Fast => self.tier0(graph),
+            Tier::Refined => self.tier1(graph, passes),
+            Tier::Thorough => self.tier2(graph),
+            Tier::Exact => self.tier_exact(graph),
         }
     }
 
     /// Greedy CSR fast path: grouped chain growth vs the naive
     /// identity, cheaper one wins (identity wins ties, preserving the
     /// never-worse-than-naive guarantee).
-    fn tier0(&self, graph: &AccessGraph, csr: &CsrGraph) -> AnytimeOutcome {
+    fn tier0(&self, graph: &AccessGraph) -> AnytimeOutcome {
         let identity = Placement::identity(graph.num_items());
-        let naive = csr.arrangement_cost(identity.offsets());
+        let naive = graph.arrangement_cost(identity.offsets());
         let greedy = GroupedChainGrowth.place(graph);
-        let greedy_cost = csr.arrangement_cost(greedy.offsets());
+        let greedy_cost = graph.arrangement_cost(greedy.offsets());
         let (placement, cost) = if greedy_cost < naive {
             (greedy, greedy_cost)
         } else {
@@ -239,13 +226,13 @@ impl AnytimeSolver {
     }
 
     /// Tier 0 refined by windowed local search under `passes`.
-    fn tier1(&self, graph: &AccessGraph, csr: &CsrGraph, passes: usize) -> AnytimeOutcome {
-        let mut out = self.tier0(graph, csr);
+    fn tier1(&self, graph: &AccessGraph, passes: usize) -> AnytimeOutcome {
+        let mut out = self.tier0(graph);
         let budget = passes.clamp(1, MAX_PASSES);
         LocalSearch::new(budget)
             .with_window(TIER1_WINDOW)
-            .refine_frozen(csr, &mut out.placement);
-        out.cost = csr.arrangement_cost(out.placement.offsets());
+            .refine(graph, &mut out.placement);
+        out.cost = graph.arrangement_cost(out.placement.offsets());
         out.tier = Tier::Refined;
         out.solver = "windowed-ls";
         out
@@ -256,22 +243,22 @@ impl AnytimeSolver {
     /// identical at any worker count. Full tier-1 leads the roster, so
     /// tier 2 can never be worse than tier 1 (and transitively never
     /// worse than naive).
-    fn tier2(&self, graph: &AccessGraph, csr: &CsrGraph) -> AnytimeOutcome {
+    fn tier2(&self, graph: &AccessGraph) -> AnytimeOutcome {
         let n = graph.num_items();
         let refiner = LocalSearch::new(MAX_PASSES);
         type Candidate<'a> = (&'static str, Box<dyn Fn() -> Placement + Sync + 'a>);
         let mut candidates: Vec<Candidate<'_>> = vec![
             (
                 "windowed-ls",
-                Box::new(|| self.tier1(graph, csr, MAX_PASSES).placement),
+                Box::new(|| self.tier1(graph, MAX_PASSES).placement),
             ),
             ("hybrid", Box::new(|| Hybrid::default().place(graph))),
             (
                 "annealing",
                 Box::new(|| {
-                    let start = self.tier0(graph, csr).placement;
-                    let mut p = SimulatedAnnealing::new(self.seed).place_frozen(csr, start);
-                    refiner.refine_frozen(csr, &mut p);
+                    let start = self.tier0(graph).placement;
+                    let mut p = SimulatedAnnealing::new(self.seed).anneal(graph, start);
+                    refiner.refine(graph, &mut p);
                     p
                 }),
             ),
@@ -281,7 +268,7 @@ impl AnytimeSolver {
                 "kl-partition",
                 Box::new(|| {
                     let mut p = kl_guided_order(graph, n);
-                    refiner.refine_frozen(csr, &mut p);
+                    refiner.refine(graph, &mut p);
                     p
                 }),
             ));
@@ -298,7 +285,7 @@ impl AnytimeSolver {
         }
         let scored = par::par_map(&candidates, |(solver, candidate)| {
             let p = candidate();
-            let cost = csr.arrangement_cost(p.offsets());
+            let cost = graph.arrangement_cost(p.offsets());
             (cost, *solver, p)
         });
         let (cost, solver, placement) = scored
@@ -318,11 +305,11 @@ impl AnytimeSolver {
     /// labeled tier 3, with the winning member's solver name) — a
     /// defensive total fallback; callers that promise optimality
     /// enforce the limit up front.
-    fn tier_exact(&self, graph: &AccessGraph, csr: &CsrGraph) -> AnytimeOutcome {
+    fn tier_exact(&self, graph: &AccessGraph) -> AnytimeOutcome {
         if graph.num_items() <= EXACT_PLAN_LIMIT {
             let (placement, _) = optimal_placement(graph)
                 .expect("EXACT_PLAN_LIMIT is below the subset-DP item limit");
-            let cost = csr.arrangement_cost(placement.offsets());
+            let cost = graph.arrangement_cost(placement.offsets());
             return AnytimeOutcome {
                 placement,
                 cost,
@@ -330,7 +317,7 @@ impl AnytimeSolver {
                 solver: "subset-dp",
             };
         }
-        let mut out = self.tier2(graph, csr);
+        let mut out = self.tier2(graph);
         out.tier = Tier::Exact;
         out
     }
@@ -359,7 +346,7 @@ fn kl_guided_order(graph: &AccessGraph, n: usize) -> Placement {
 pub fn estimate_us(tier: Tier, items: usize, edges: usize) -> u64 {
     let n = items as u64;
     let m = edges as u64;
-    // Freeze + greedy grouping: linear in graph size.
+    // Greedy grouping and its two cost walks: linear in graph size.
     let fast = 40_u64.saturating_add((n.saturating_add(m)) / 4);
     match tier {
         Tier::Fast => fast,

@@ -27,7 +27,7 @@
 //! identity `cut(S) = cut(S∖{v}) + deg(v) − 2·w(v, S∖{v})`, so the
 //! whole table fills in `O(2ⁿ·n)` time and `O(2ⁿ)` space.
 
-use dwm_graph::{AccessGraph, CsrGraph};
+use dwm_graph::AccessGraph;
 
 use crate::error::PlacementError;
 use crate::placement::Placement;
@@ -68,8 +68,7 @@ pub fn optimal_placement(graph: &AccessGraph) -> Result<(Placement, u64), Placem
     if n == 0 {
         return Ok((Placement::identity(0), 0));
     }
-    // Freeze once; the DP's inner loop streams flat neighbour slices.
-    let csr = CsrGraph::freeze(graph);
+    // The DP's inner loop streams the graph's flat neighbour slices.
 
     let full: usize = if n == usize::BITS as usize {
         usize::MAX
@@ -91,13 +90,13 @@ pub fn optimal_placement(graph: &AccessGraph) -> Result<(Placement, u64), Placem
         let rest = s & (s - 1); // s without its lowest set bit
                                 // w(low, rest): weight from `low` into the rest of the subset.
         let mut w_into = 0u64;
-        let (vs, ws) = csr.neighbor_slices(low);
+        let (vs, ws) = graph.neighbor_slices(low);
         for (&v, &w) in vs.iter().zip(ws) {
             if rest >> v & 1 == 1 {
                 w_into += w;
             }
         }
-        cut[s] = cut[rest] + csr.degree(low) - 2 * w_into;
+        cut[s] = cut[rest] + graph.degree(low) - 2 * w_into;
 
         // f(s) = cut(s) + min over last-removed v of f(s \ v).
         let mut best = u64::MAX;

@@ -37,7 +37,7 @@
 //!   root order.
 
 use dwm_foundation::par::{self, AtomicMin};
-use dwm_graph::{AccessGraph, CsrGraph};
+use dwm_graph::AccessGraph;
 
 use crate::algorithms::PlacementAlgorithm;
 use crate::error::PlacementError;
@@ -48,7 +48,7 @@ use crate::placement::Placement;
 pub const MAX_BB_ITEMS: usize = 24;
 
 struct Search<'g> {
-    csr: &'g CsrGraph,
+    graph: &'g AccessGraph,
     n: usize,
     /// Record threshold: starts at the heuristic seed cost; only
     /// strictly better complete orders are recorded. Purely local, so
@@ -105,7 +105,7 @@ impl<'g> Search<'g> {
                 // cut(prefix ∪ {v}) = cut + deg(v) − 2·w(v, prefix)
                 let mut into = 0u64;
                 let mut outside = 0u64;
-                let (us, ws) = self.csr.neighbor_slices(v);
+                let (us, ws) = self.graph.neighbor_slices(v);
                 for (&u, &w) in us.iter().zip(ws) {
                     if self.in_prefix[u as usize] {
                         into += w;
@@ -113,7 +113,7 @@ impl<'g> Search<'g> {
                         outside += w;
                     }
                 }
-                (cut + self.csr.degree(v) - 2 * into, outside, v)
+                (cut + self.graph.degree(v) - 2 * into, outside, v)
             })
             .collect();
         candidates.sort_unstable();
@@ -172,17 +172,15 @@ pub fn branch_and_bound_placement(graph: &AccessGraph) -> Result<(Placement, u64
     if n == 0 {
         return Ok((Placement::identity(0), 0));
     }
-    // Freeze once; every root subtree shares the CSR arrays.
-    let csr = CsrGraph::freeze(graph);
     // Seed the incumbent with a good heuristic so pruning bites
     // immediately.
     let seed = crate::algorithms::Hybrid::default().place(graph);
-    let seed_cost = csr.arrangement_cost(seed.offsets());
+    let seed_cost = graph.arrangement_cost(seed.offsets());
     let global_best = AtomicMin::new(seed_cost);
 
     // Root candidates, ordered exactly as the sequential search orders
     // children: weakest first cut (here: degree) first.
-    let mut roots: Vec<(u64, usize)> = (0..n).map(|v| (csr.degree(v), v)).collect();
+    let mut roots: Vec<(u64, usize)> = (0..n).map(|v| (graph.degree(v), v)).collect();
     roots.sort_unstable();
 
     // One independent subtree search per root; the shared bound only
@@ -192,14 +190,14 @@ pub fn branch_and_bound_placement(graph: &AccessGraph) -> Result<(Placement, u64
         let mut in_prefix = vec![false; n];
         in_prefix[v] = true;
         let mut search = Search {
-            csr: &csr,
+            graph,
             n,
             local_best: seed_cost,
             best_order: None,
             global_best: &global_best,
             prefix: vec![v],
             in_prefix,
-            remaining_edge_weight: csr.total_weight() - csr.degree(v),
+            remaining_edge_weight: graph.total_weight() - graph.degree(v),
             nodes: 0,
             pruned: 0,
         };

@@ -25,7 +25,7 @@
 //! both behaviours.
 
 use dwm_device::Topology;
-use dwm_graph::AccessGraph;
+use dwm_graph::{AccessGraph, GraphDigest};
 use dwm_trace::Trace;
 
 use crate::algorithms::{Hybrid, PlacementAlgorithm};
@@ -134,17 +134,7 @@ pub fn window_profiles(trace: &Trace, window: usize, n: usize) -> WindowProfiles
     assert!(window > 0, "window must be nonzero");
     let mut profiles = WindowProfiles::default();
     for chunk in trace.accesses().chunks(window) {
-        let mut graph = AccessGraph::with_items(n);
-        for pair in chunk.windows(2) {
-            let (u, v) = (pair[0].item.index(), pair[1].item.index());
-            if u != v {
-                graph.add_weight(u, v, 1);
-            }
-        }
-        for a in chunk {
-            let i = a.item.index();
-            graph.set_frequency(i, graph.frequency(i) + 1);
-        }
+        let graph = GraphDigest::from_dense(n, chunk.iter().map(|a| a.item.index())).to_graph();
         profiles
             .traces
             .push(Trace::from_accesses(chunk.iter().copied()));
@@ -443,17 +433,7 @@ mod tests {
 
         // Mirror OnlinePlacer::run's window graph for the single chunk.
         let accesses = trace.accesses();
-        let mut window_graph = AccessGraph::with_items(n);
-        for pair in accesses.windows(2) {
-            let (u, v) = (pair[0].item.index(), pair[1].item.index());
-            if u != v {
-                window_graph.add_weight(u, v, 1);
-            }
-        }
-        for a in accesses {
-            let i = a.item.index();
-            window_graph.set_frequency(i, window_graph.frequency(i) + 1);
-        }
+        let window_graph = window_profiles(&trace, accesses.len(), n).graph(0).clone();
         let identity = Placement::identity(n);
         let candidate = Hybrid::default().place(&window_graph);
         let current_cost = window_graph.arrangement_cost(identity.offsets());
@@ -502,17 +482,15 @@ mod tests {
         for chunk in trace.accesses().chunks(config.window) {
             let window_trace = Trace::from_accesses(chunk.iter().copied());
             access_shifts += model.trace_cost(&placement, &window_trace).stats.shifts;
-            let mut window_graph = AccessGraph::with_items(n);
-            for pair in chunk.windows(2) {
-                let (u, v) = (pair[0].item.index(), pair[1].item.index());
-                if u != v {
-                    window_graph.add_weight(u, v, 1);
-                }
-            }
+            let mut frequency = vec![0u64; n];
             for a in chunk {
-                let i = a.item.index();
-                window_graph.set_frequency(i, window_graph.frequency(i) + 1);
+                frequency[a.item.index()] += 1;
             }
+            let transitions = chunk.windows(2).filter_map(|pair| {
+                let (u, v) = (pair[0].item.index(), pair[1].item.index());
+                (u != v).then_some((u, v, 1))
+            });
+            let window_graph = AccessGraph::from_edges(frequency, transitions);
             let candidate = algorithm.place(&window_graph);
             let current_cost = window_graph.arrangement_cost(placement.offsets());
             let candidate_cost = window_graph.arrangement_cost(candidate.offsets());

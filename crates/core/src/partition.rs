@@ -19,7 +19,7 @@
 //! byte-identical at any `DWM_THREADS` worker count.
 
 use dwm_foundation::par;
-use dwm_graph::{AccessGraph, CsrGraph};
+use dwm_graph::AccessGraph;
 
 use crate::error::PlacementError;
 
@@ -169,11 +169,8 @@ impl Partitioner {
             });
         }
 
-        // Freeze once; seeding and every refinement pass share the
-        // flat CSR arrays.
-        let csr = CsrGraph::freeze(graph);
         if self.objective == Objective::MinimizeInternal {
-            return self.partition_minimize_internal(&csr);
+            return self.partition_minimize_internal(graph);
         }
 
         // --- Phase 1: capacity-capped Kruskal agglomeration. ---
@@ -218,7 +215,7 @@ impl Partitioner {
 
         // --- Phase 3: KL-style pairwise swap refinement. ---
         let mut partition = Partition::from_assignment(part_of, self.parts);
-        self.refine(&csr, &mut partition);
+        self.refine(graph, &mut partition);
         Ok(partition)
     }
 
@@ -226,17 +223,20 @@ impl Partitioner {
     /// to the part where they add the least internal weight (ties to
     /// the least-loaded part), then swap refinement maximizes external
     /// weight.
-    fn partition_minimize_internal(&self, csr: &CsrGraph) -> Result<Partition, PlacementError> {
-        let n = csr.num_items();
+    fn partition_minimize_internal(
+        &self,
+        graph: &AccessGraph,
+    ) -> Result<Partition, PlacementError> {
+        let n = graph.num_items();
         let mut items: Vec<usize> = (0..n).collect();
-        items.sort_by_key(|&v| (std::cmp::Reverse(csr.degree(v)), v));
+        items.sort_by_key(|&v| (std::cmp::Reverse(graph.degree(v)), v));
         let mut part_of = vec![usize::MAX; n];
         let mut load = vec![0usize; self.parts];
         for v in items {
             let target = (0..self.parts)
                 .filter(|&p| load[p] < self.capacity)
                 .min_by_key(|&p| {
-                    let internal: u64 = csr
+                    let internal: u64 = graph
                         .neighbors(v)
                         .filter(|&(u, _)| part_of[u] == p)
                         .map(|(_, w)| w)
@@ -250,16 +250,16 @@ impl Partitioner {
             load[target] += 1;
         }
         let mut partition = Partition::from_assignment(part_of, self.parts);
-        self.refine(csr, &mut partition);
+        self.refine(graph, &mut partition);
         Ok(partition)
     }
 
     /// External weight change of swapping the parts of `a` and `b`
     /// (which must be in different parts).
-    fn swap_gain(csr: &CsrGraph, partition: &Partition, a: usize, b: usize) -> i64 {
+    fn swap_gain(graph: &AccessGraph, partition: &Partition, a: usize, b: usize) -> i64 {
         let (pa, pb) = (partition.part_of(a), partition.part_of(b));
         let mut delta = 0i64;
-        let (vs, ws) = csr.neighbor_slices(a);
+        let (vs, ws) = graph.neighbor_slices(a);
         for (&v, &w) in vs.iter().zip(ws) {
             let v = v as usize;
             if v == b {
@@ -268,7 +268,7 @@ impl Partitioner {
             let pv = partition.part_of(v);
             delta += w as i64 * ((pb != pv) as i64 - (pa != pv) as i64);
         }
-        let (vs, ws) = csr.neighbor_slices(b);
+        let (vs, ws) = graph.neighbor_slices(b);
         for (&v, &w) in vs.iter().zip(ws) {
             let v = v as usize;
             if v == a {
@@ -280,7 +280,7 @@ impl Partitioner {
         delta
     }
 
-    fn refine(&self, csr: &CsrGraph, partition: &mut Partition) {
+    fn refine(&self, graph: &AccessGraph, partition: &mut Partition) {
         let n = partition.num_items();
         // MinimizeExternal accepts swaps with negative external-weight
         // delta; MinimizeInternal accepts positive ones (more external
@@ -307,7 +307,7 @@ impl Partitioner {
                     if partition.part_of[a] == partition.part_of[b] {
                         continue;
                     }
-                    let gain = sign * Self::swap_gain(csr, partition, a, b);
+                    let gain = sign * Self::swap_gain(graph, partition, a, b);
                     if gain < 0 {
                         improving.push((gain, a, b));
                     }
@@ -326,7 +326,7 @@ impl Partitioner {
                 }
                 // Earlier applied swaps may have invalidated the
                 // pass-start score; recheck before committing.
-                let gain = sign * Self::swap_gain(csr, partition, a, b);
+                let gain = sign * Self::swap_gain(graph, partition, a, b);
                 if gain < 0 {
                     let (pa, pb) = (partition.part_of[a], partition.part_of[b]);
                     partition.part_of[a] = pb;
@@ -426,7 +426,6 @@ mod tests {
     #[test]
     fn swap_gain_matches_recomputation() {
         let g = random_graph(12, 0.5, 6, 8);
-        let csr = CsrGraph::freeze(&g);
         let p = Partitioner::new(3, 4).partition(&g).unwrap();
         let mut q = p.clone();
         for a in 0..12 {
@@ -435,7 +434,7 @@ mod tests {
                     continue;
                 }
                 let before = q.external_weight(&g) as i64;
-                let gain = Partitioner::swap_gain(&csr, &q, a, b);
+                let gain = Partitioner::swap_gain(&g, &q, a, b);
                 let (pa, pb) = (q.part_of[a], q.part_of[b]);
                 q.part_of[a] = pb;
                 q.part_of[b] = pa;

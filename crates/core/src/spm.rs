@@ -7,7 +7,7 @@
 //! by replaying the trace with one displacement state per DBC.
 
 use dwm_device::{PortLayout, ShiftStats, Topology, TopologyReplayer};
-use dwm_graph::AccessGraph;
+use dwm_graph::{AccessGraph, GraphDigest};
 use dwm_trace::Trace;
 
 use crate::algorithms::PlacementAlgorithm;
@@ -232,17 +232,12 @@ impl SpmAllocator {
             }
             // Access graph of the projected subsequence. Local ids may
             // exceed the subsequence's own alphabet, so size the graph
-            // by the part's item count.
-            let mut sub = AccessGraph::with_items(items.len());
-            for (li, &item) in items.iter().enumerate() {
-                sub.set_frequency(li, graph.frequency(item));
-            }
-            for pair in projected[p].windows(2) {
-                let (u, v) = (pair[0] as usize, pair[1] as usize);
-                if u != v {
-                    sub.add_weight(u, v, 1);
-                }
-            }
+            // by the part's item count. The projection holds every
+            // access of the part's items, so its counts are the parent
+            // graph's frequencies.
+            let sub =
+                GraphDigest::from_dense(items.len(), projected[p].iter().map(|&li| li as usize))
+                    .to_graph();
             let placement = intra.place(&sub);
             for (li, &item) in items.iter().enumerate() {
                 offset_of[item] = placement.offset_of(li);

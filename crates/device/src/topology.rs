@@ -510,6 +510,20 @@ impl Topology {
         Ok(())
     }
 
+    /// Where `count` evenly spaced ports sit on a track of `len` words
+    /// under this topology. Grid ports are column offsets, so on
+    /// `grid2d` they spread over the columns the track occupies
+    /// (`min(cols, len)`); everywhere else over the whole track. One
+    /// port sits at offset 0 either way (see
+    /// [`PortLayout::evenly_spaced`]).
+    pub fn evenly_spaced_ports(&self, count: usize, len: usize) -> PortLayout {
+        let span = match self {
+            Topology::Grid2d(g) => g.cols.min(len),
+            _ => len,
+        };
+        PortLayout::evenly_spaced(count, span)
+    }
+
     fn as_dyn(&self) -> &dyn TrackTopology {
         match self {
             Topology::Linear(t) => t,
@@ -599,6 +613,23 @@ impl<'a> TopologyReplayer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn evenly_spaced_ports_stay_inside_the_grid_columns() {
+        let grid = Topology::parse("grid2d:4x8").unwrap();
+        assert_eq!(grid.evenly_spaced_ports(2, 32).positions(), &[2, 6]);
+        assert_eq!(grid.evenly_spaced_ports(1, 32).positions(), &[0]);
+        // A one-row grid spans the track, so its ports are linear's.
+        let row = Topology::parse("grid2d:1x64").unwrap();
+        for n in [1, 2, 4] {
+            assert_eq!(
+                row.evenly_spaced_ports(n, 32),
+                Topology::linear().evenly_spaced_ports(n, 32)
+            );
+        }
+        let ring = Topology::parse("ring").unwrap();
+        assert_eq!(ring.evenly_spaced_ports(2, 32).positions(), &[8, 24]);
+    }
 
     fn single() -> PortLayout {
         PortLayout::single()

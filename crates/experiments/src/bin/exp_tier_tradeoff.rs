@@ -23,7 +23,7 @@ use std::time::Instant;
 use dwm_core::anytime::{self, AnytimeSolver, Tier};
 use dwm_core::Placement;
 use dwm_experiments::{percent_reduction, workload_suite, Table, EXPERIMENT_SEED};
-use dwm_graph::{AccessGraph, CsrGraph};
+use dwm_graph::AccessGraph;
 
 fn main() {
     println!(
@@ -46,9 +46,8 @@ fn main() {
     let solver = AnytimeSolver::new(EXPERIMENT_SEED);
     for (name, trace) in workload_suite() {
         let graph = AccessGraph::from_trace(&trace);
-        let csr = CsrGraph::freeze(&graph);
         let (n, m) = (graph.num_items(), graph.num_edges());
-        let naive = csr.arrangement_cost(Placement::identity(n).offsets());
+        let naive = graph.arrangement_cost(Placement::identity(n).offsets());
 
         let mut outcomes = Vec::new();
         let mut measured = Vec::new();
@@ -57,7 +56,7 @@ fn main() {
         // adds nothing on these benchmarks.
         for tier in [Tier::Fast, Tier::Refined, Tier::Thorough] {
             let started = Instant::now();
-            let outcome = solver.solve_frozen(&graph, &csr, tier, anytime::MAX_PASSES);
+            let outcome = solver.solve(&graph, tier, anytime::MAX_PASSES);
             measured.push(started.elapsed().as_micros());
             outcomes.push(outcome);
         }

@@ -14,6 +14,10 @@
 //!   or an existing directory (the report lands at `<dir>/<suite>.json`
 //!   so one `cargo bench` run with several suites keeps them all)
 //!
+//! The table goes to a locked stdout. A reader that goes away
+//! (`bench_sweep --bench | head`) only stops the printing: the run
+//! still finishes and still writes its JSON report.
+//!
 //! A single positional CLI argument acts as a substring filter on
 //! benchmark ids, mirroring `cargo bench <filter>`.
 //!
@@ -23,6 +27,8 @@
 //! Like [`Harness::bench_pair`], it takes the two sides' samples
 //! alternately under one iteration count.
 
+use std::fmt;
+use std::io::Write;
 use std::time::Instant;
 
 use crate::json::{Object, ToJson, Value};
@@ -81,7 +87,47 @@ pub struct Harness {
     samples: usize,
     warmup_ms: u64,
     filter: Option<String>,
+    /// `DWM_BENCH_JSON`, read at construction.
+    json: Option<String>,
+    out: Sink,
     results: Vec<BenchResult>,
+}
+
+/// Where the harness prints its table: stdout, or a writer a test
+/// swaps in. The first failed write closes the sink and the run goes
+/// on without printing; a `BrokenPipe` (the reader went away) closes it
+/// silently, as `dwmplace` treats a closed stdout, and any other error
+/// is reported once on stderr.
+enum Sink {
+    Stdout,
+    Writer(Box<dyn Write>),
+    Closed,
+}
+
+impl Sink {
+    fn line(&mut self, args: fmt::Arguments<'_>) {
+        let written = match self {
+            Sink::Stdout => writeln!(std::io::stdout().lock(), "{args}"),
+            Sink::Writer(w) => writeln!(w, "{args}").and_then(|()| w.flush()),
+            Sink::Closed => return,
+        };
+        if let Err(e) = written {
+            if e.kind() != std::io::ErrorKind::BrokenPipe {
+                eprintln!("warning: cannot print bench results: {e}");
+            }
+            *self = Sink::Closed;
+        }
+    }
+}
+
+impl fmt::Debug for Sink {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Sink::Stdout => "Stdout",
+            Sink::Writer(_) => "Writer",
+            Sink::Closed => "Closed",
+        })
+    }
 }
 
 /// The thread counts [`Harness::bench_threads`] records, low to high.
@@ -120,6 +166,8 @@ impl Harness {
             samples,
             warmup_ms,
             filter,
+            json: lookup("DWM_BENCH_JSON"),
+            out: Sink::Stdout,
             results: Vec::new(),
         }
     }
@@ -133,6 +181,13 @@ impl Harness {
     /// Overrides the warmup budget in milliseconds.
     pub fn with_warmup_ms(mut self, warmup_ms: u64) -> Self {
         self.warmup_ms = warmup_ms;
+        self
+    }
+
+    /// Prints the table to `out` instead of stdout (primarily for
+    /// tests).
+    pub fn with_output(mut self, out: impl Write + 'static) -> Self {
+        self.out = Sink::Writer(Box::new(out));
         self
     }
 
@@ -158,13 +213,13 @@ impl Harness {
             p99_ns: pick(0.99),
             mean_ns: sample_ns.iter().sum::<f64>() / sample_ns.len() as f64,
         };
-        println!(
+        self.out.line(format_args!(
             "{:<44} {:>12} {:>12} {:>12}",
             result.id,
             format_ns(result.median_ns),
             format_ns(result.p95_ns),
             format_ns(result.min_ns),
-        );
+        ));
         self.results.push(result);
     }
 
@@ -284,13 +339,13 @@ impl Harness {
     /// Prints the footer and, when `DWM_BENCH_JSON` is set, writes the
     /// JSON report there. A directory value receives
     /// `<dir>/<suite>.json`; anything else is treated as a file path.
-    pub fn finish(self) {
-        println!(
+    pub fn finish(mut self) {
+        self.out.line(format_args!(
             "{} benchmark(s) in suite '{}' (median/p95/min per iteration)",
             self.results.len(),
             self.suite
-        );
-        if let Ok(path) = std::env::var("DWM_BENCH_JSON") {
+        ));
+        if let Some(path) = self.json.take() {
             let target = if std::path::Path::new(&path).is_dir() {
                 format!("{path}/{}.json", self.suite)
             } else {
@@ -486,13 +541,52 @@ mod tests {
     use crate::json::from_str;
 
     fn tiny() -> Harness {
-        Harness {
-            suite: "test".into(),
-            samples: 5,
-            warmup_ms: 0,
-            filter: None,
-            results: Vec::new(),
+        Harness::from_lookup("test", |_| None, None)
+            .with_samples(5)
+            .with_warmup_ms(0)
+    }
+
+    /// A writer whose every write fails with `BrokenPipe`, counting the
+    /// attempts.
+    struct ClosedPipe(std::rc::Rc<std::cell::Cell<usize>>);
+
+    impl Write for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            self.0.set(self.0.get() + 1);
+            Err(std::io::ErrorKind::BrokenPipe.into())
         }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_closed_pipe_stops_the_table_but_not_the_run() {
+        let report =
+            std::env::temp_dir().join(format!("dwm_bench_pipe_{}.json", std::process::id()));
+        let path = report.display().to_string();
+        let attempts = std::rc::Rc::new(std::cell::Cell::new(0));
+        let lookup = |key: &str| (key == "DWM_BENCH_JSON").then(|| path.clone());
+        let mut h = Harness::from_lookup("pipe", lookup, None)
+            .with_samples(3)
+            .with_warmup_ms(0)
+            .with_output(ClosedPipe(attempts.clone()));
+        h.bench("first", || black_box(1u8));
+        h.bench("second", || black_box(2u8));
+        h.finish();
+        assert_eq!(attempts.get(), 1, "the first failed write closes the sink");
+        let json = std::fs::read_to_string(&report).expect("the report is still written");
+        std::fs::remove_file(&report).ok();
+        let v: Value = from_str(&json).unwrap();
+        let results = v
+            .as_object()
+            .unwrap()
+            .get("results")
+            .unwrap()
+            .as_array()
+            .unwrap();
+        assert_eq!(results.len(), 2);
     }
 
     #[test]

@@ -1,26 +1,18 @@
-//! Frozen CSR graph and incremental arrangement evaluation.
+//! Incremental arrangement evaluation over the CSR access graph.
 //!
-//! [`AccessGraph`] stores adjacency as one `BTreeMap` per vertex —
-//! right for construction (incremental weight updates from a trace),
-//! wrong for search: every placement heuristic walks neighbour lists
-//! millions of times, and tree walks are pointer-chasing cache misses.
-//! [`CsrGraph`] is the read-only counterpart: the same graph flattened
-//! into three arrays (compressed sparse row), built once at solver
-//! entry and immutable thereafter. Mutation stays on [`AccessGraph`];
-//! freezing is a one-way, one-time step.
-//!
-//! [`ArrangementEval`] layers incremental cost evaluation on top: it
-//! tracks a placement and its arrangement cost, answers
-//! `O(deg(a) + deg(b))` swap deltas and `O(deg(x))` relocate deltas,
-//! and applies/undoes moves while keeping the running total exact —
-//! no full recompute ever. The arithmetic matches the historical
-//! per-algorithm delta code term for term, so rewiring a solver onto
-//! the evaluator cannot change its decisions (see
-//! `tests/csr_equivalence.rs`).
+//! [`AccessGraph`] stores its rows in compressed sparse row form, so
+//! every solver walks flat neighbour slices. [`ArrangementEval`] layers
+//! incremental cost evaluation on top: it tracks a placement and its
+//! arrangement cost, answers `O(deg(a) + deg(b))` swap deltas and
+//! `O(deg(x))` relocate deltas, and applies/undoes moves while keeping
+//! the running total exact — no full recompute ever. The arithmetic
+//! matches the historical per-algorithm delta code term for term, so
+//! rewiring a solver onto the evaluator cannot change its decisions
+//! (see `tests/csr_equivalence.rs`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::graph::{AccessGraph, Edge};
+use crate::graph::AccessGraph;
 
 /// Global counter of incremental delta evaluations (swap, relocate)
 /// answered by [`ArrangementEval`] — the denominator of every solver's
@@ -35,234 +27,19 @@ pub(crate) fn delta_eval_counter() -> &'static dwm_foundation::obs::Counter {
     )
 }
 
-/// Frozen compressed-sparse-row view of an [`AccessGraph`].
-///
-/// Neighbour lists are stored contiguously in ascending vertex order —
-/// the same order [`AccessGraph::neighbors`] yields — so iteration
-/// order, and therefore every tie-break downstream, is unchanged.
-/// Weighted degrees and the total edge weight are cached at build
-/// time; `degree` drops from `O(deg)` to `O(1)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CsrGraph {
-    /// `row_offsets[u]..row_offsets[u + 1]` indexes `u`'s slice of
-    /// `neighbors`/`weights`.
-    row_offsets: Vec<u32>,
-    /// Concatenated neighbour lists, ascending within each vertex.
-    neighbors: Vec<u32>,
-    /// Edge weights, parallel to `neighbors`.
-    weights: Vec<u64>,
-    /// Cached weighted degree per vertex.
-    degree: Vec<u64>,
-    /// Cached sum of all (undirected) edge weights.
-    total_weight: u64,
-    /// Per-edge endpoint bitmasks `(1 << u) | (1 << v)` with weights,
-    /// for cut queries without re-deriving endpoints. Only built for
-    /// `n ≤ 64` (the exact DP's domain); empty otherwise.
-    cut_pairs: Vec<(u64, u64)>,
-    /// Interleaved `(weight << 32) | neighbor` rows, parallel to
-    /// `neighbors`, built when every weight fits in 32 bits (always
-    /// true for trace-derived counts). The swap-delta walk then reads
-    /// one 8-byte word per neighbour instead of two parallel streams.
-    /// Empty when some weight overflows u32.
-    packed: Vec<u64>,
-}
+/// The former name of [`AccessGraph`], from when solvers froze a
+/// separate CSR copy of a tree-based graph. The end-to-end benchmark's
+/// in-process replay (`bench_e2e/src/replay.rs`) still names it and
+/// times a `graph.freeze` span; the alias and [`AccessGraph::freeze`]
+/// go together with that replay. New code uses [`AccessGraph`].
+pub type CsrGraph = AccessGraph;
 
-impl CsrGraph {
-    /// Freezes `graph` into CSR form. `O(n + E)`.
+impl AccessGraph {
+    /// A copy of `graph`. The graph is already in CSR form, so there is
+    /// nothing left to freeze; kept only for the replay named at
+    /// [`CsrGraph`].
     pub fn freeze(graph: &AccessGraph) -> Self {
-        let n = graph.num_items();
-        let mut row_offsets = Vec::with_capacity(n + 1);
-        let mut neighbors = Vec::new();
-        let mut weights = Vec::new();
-        row_offsets.push(0);
-        for u in 0..n {
-            for (v, w) in graph.neighbors(u) {
-                neighbors.push(u32::try_from(v).expect("vertex id exceeds u32"));
-                weights.push(w);
-            }
-            row_offsets.push(u32::try_from(neighbors.len()).expect("edge count exceeds u32"));
-        }
-        CsrGraph::from_parts(row_offsets, neighbors, weights)
-    }
-
-    /// Assembles a CSR graph from already-flattened rows (ascending
-    /// neighbours per vertex, each undirected edge present from both
-    /// endpoints). All caches — degrees, total weight, cut masks, the
-    /// interleaved rows — are derived here, exactly as [`freeze`] would,
-    /// so two routes to the same adjacency produce equal graphs. Used by
-    /// [`freeze`] and by [`crate::delta::DeltaGraph::refreeze`].
-    ///
-    /// [`freeze`]: CsrGraph::freeze
-    pub(crate) fn from_parts(
-        row_offsets: Vec<u32>,
-        neighbors: Vec<u32>,
-        weights: Vec<u64>,
-    ) -> Self {
-        let n = row_offsets.len() - 1;
-        let mut degree = Vec::with_capacity(n);
-        let mut total_weight = 0u64;
-        for u in 0..n {
-            let (lo, hi) = (row_offsets[u] as usize, row_offsets[u + 1] as usize);
-            let mut deg = 0u64;
-            for (&v, &w) in neighbors[lo..hi].iter().zip(&weights[lo..hi]) {
-                deg += w;
-                if (u as u32) < v {
-                    total_weight += w;
-                }
-            }
-            degree.push(deg);
-        }
-        let cut_pairs = if n <= 64 {
-            (0..n)
-                .flat_map(|u| {
-                    let (lo, hi) = (row_offsets[u] as usize, row_offsets[u + 1] as usize);
-                    neighbors[lo..hi]
-                        .iter()
-                        .zip(&weights[lo..hi])
-                        .filter(move |(&v, _)| (u as u32) < v)
-                        .map(move |(&v, &w)| ((1u64 << u) | (1u64 << v), w))
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let packed = if weights.iter().all(|&w| w <= u64::from(u32::MAX)) {
-            neighbors
-                .iter()
-                .zip(&weights)
-                .map(|(&v, &w)| (w << 32) | u64::from(v))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        CsrGraph {
-            row_offsets,
-            neighbors,
-            weights,
-            degree,
-            total_weight,
-            cut_pairs,
-            packed,
-        }
-    }
-
-    /// Number of items (vertices).
-    #[inline]
-    pub fn num_items(&self) -> usize {
-        self.degree.len()
-    }
-
-    /// Number of distinct edges.
-    pub fn num_edges(&self) -> usize {
-        self.neighbors.len() / 2
-    }
-
-    /// Weighted degree of vertex `u`, from the build-time cache. `O(1)`.
-    #[inline]
-    pub fn degree(&self, u: usize) -> u64 {
-        self.degree[u]
-    }
-
-    /// Sum of all edge weights, from the build-time cache. `O(1)`.
-    #[inline]
-    pub fn total_weight(&self) -> u64 {
-        self.total_weight
-    }
-
-    /// `u`'s neighbour ids and weights as parallel slices, ascending by
-    /// vertex — the zero-overhead form for hot loops.
-    #[inline]
-    pub fn neighbor_slices(&self, u: usize) -> (&[u32], &[u64]) {
-        let lo = self.row_offsets[u] as usize;
-        let hi = self.row_offsets[u + 1] as usize;
-        (&self.neighbors[lo..hi], &self.weights[lo..hi])
-    }
-
-    /// Neighbours of `u` with edge weights, in ascending vertex order
-    /// (same order as [`AccessGraph::neighbors`]).
-    pub fn neighbors(&self, u: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
-        let (vs, ws) = self.neighbor_slices(u);
-        vs.iter().zip(ws).map(|(&v, &w)| (v as usize, w))
-    }
-
-    /// `u`'s interleaved `(weight << 32) | neighbor` row, when built.
-    #[inline]
-    fn packed_row(&self, u: usize) -> Option<&[u64]> {
-        if self.packed.len() != self.neighbors.len() {
-            return None;
-        }
-        let lo = self.row_offsets[u] as usize;
-        let hi = self.row_offsets[u + 1] as usize;
-        Some(&self.packed[lo..hi])
-    }
-
-    /// Weight of edge `{u, v}` (0 if absent). `O(log deg(u))`.
-    pub fn weight(&self, u: usize, v: usize) -> u64 {
-        let (vs, ws) = self.neighbor_slices(u);
-        match vs.binary_search(&(v as u32)) {
-            Ok(i) => ws[i],
-            Err(_) => 0,
-        }
-    }
-
-    /// All edges, each reported once with `u < v`, in lexicographic
-    /// order (same order as [`AccessGraph::edges`]).
-    pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
-        (0..self.num_items()).flat_map(move |u| {
-            self.neighbors(u)
-                .filter(move |&(v, _)| u < v)
-                .map(move |(v, weight)| Edge { u, v, weight })
-        })
-    }
-
-    /// Linear arrangement cost `Σ w(u,v)·|position[u] − position[v]|`;
-    /// identical to [`AccessGraph::arrangement_cost`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `position.len() < num_items()`.
-    pub fn arrangement_cost(&self, position: &[usize]) -> u64 {
-        assert!(
-            position.len() >= self.num_items(),
-            "position vector shorter than item count"
-        );
-        let mut cost = 0u64;
-        for u in 0..self.num_items() {
-            let pu = position[u];
-            let (vs, ws) = self.neighbor_slices(u);
-            for (&v, &w) in vs.iter().zip(ws) {
-                let v = v as usize;
-                if u < v {
-                    cost += w * pu.abs_diff(position[v]) as u64;
-                }
-            }
-        }
-        cost
-    }
-
-    /// Weight of the cut between `set` (a bitmask over vertices, valid
-    /// for `n ≤ 64`) and its complement.
-    ///
-    /// Uses the per-edge endpoint masks precomputed at freeze time: an
-    /// edge crosses the cut iff exactly one of its endpoint bits is in
-    /// `set`, so each edge costs two bit ops instead of the per-edge
-    /// shift-and-compare of [`AccessGraph::cut_weight_mask`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph has more than 64 items.
-    pub fn cut_weight_mask(&self, set: u64) -> u64 {
-        assert!(
-            self.num_items() <= 64,
-            "cut_weight_mask requires n <= 64 (bitmask domain)"
-        );
-        let mut cut = 0;
-        for &(mask, w) in &self.cut_pairs {
-            if (set & mask).count_ones() == 1 {
-                cut += w;
-            }
-        }
-        cut
+        graph.clone()
     }
 }
 
@@ -276,7 +53,7 @@ enum Move {
     Relocate { from: usize, to: usize, delta: i64 },
 }
 
-/// Incremental arrangement-cost evaluator over a frozen [`CsrGraph`].
+/// Incremental arrangement-cost evaluator over an [`AccessGraph`].
 ///
 /// Holds a position assignment (item → slot, plus the inverse), the
 /// exact running arrangement cost, and an undo log. Deltas are queries
@@ -298,7 +75,7 @@ enum Move {
 /// [`undo`]: ArrangementEval::undo
 #[derive(Debug)]
 pub struct ArrangementEval<'g> {
-    graph: &'g CsrGraph,
+    graph: &'g AccessGraph,
     /// Slot of each item, padded with zeros to a power-of-two length
     /// (entries `num_items()..` are never read). The padding lets the
     /// hot delta walks index with `pos[v & (pos.len() - 1)]`, which
@@ -351,7 +128,7 @@ impl<'g> ArrangementEval<'g> {
     /// # Panics
     ///
     /// Panics if `position` is not a permutation of `0..num_items()`.
-    pub fn new(graph: &'g CsrGraph, position: &[usize]) -> Self {
+    pub fn new(graph: &'g AccessGraph, position: &[usize]) -> Self {
         let n = graph.num_items();
         assert_eq!(position.len(), n, "position length != item count");
         let mut item_at = vec![usize::MAX; n];
@@ -374,8 +151,8 @@ impl<'g> ArrangementEval<'g> {
         }
     }
 
-    /// The underlying frozen graph.
-    pub fn graph(&self) -> &'g CsrGraph {
+    /// The underlying graph.
+    pub fn graph(&self) -> &'g AccessGraph {
         self.graph
     }
 
@@ -706,25 +483,20 @@ mod tests {
     use dwm_foundation::Rng;
 
     fn diamond() -> AccessGraph {
-        let mut g = AccessGraph::with_items(4);
-        g.add_weight(0, 1, 5);
-        g.add_weight(1, 2, 1);
-        g.add_weight(2, 3, 1);
-        g.add_weight(0, 3, 1);
-        g
+        AccessGraph::from_edges(vec![0; 4], [(0, 1, 5), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
     }
 
     fn random_graph(n: usize, seed: u64) -> AccessGraph {
         let mut rng = Rng::seed_from_u64(seed);
-        let mut g = AccessGraph::with_items(n);
+        let mut edges = Vec::new();
         for u in 0..n {
             for v in (u + 1)..n {
                 if rng.gen_bool(0.4) {
-                    g.add_weight(u, v, rng.gen_range(1u64..9));
+                    edges.push((u, v, rng.gen_range(1u64..9)));
                 }
             }
         }
-        g
+        AccessGraph::from_edges(vec![0; n], edges)
     }
 
     fn random_positions(n: usize, rng: &mut Rng) -> Vec<usize> {
@@ -736,62 +508,16 @@ mod tests {
     }
 
     #[test]
-    fn freeze_preserves_graph_queries() {
-        let g = random_graph(17, 3);
-        let csr = CsrGraph::freeze(&g);
-        assert_eq!(csr.num_items(), g.num_items());
-        assert_eq!(csr.num_edges(), g.num_edges());
-        assert_eq!(csr.total_weight(), g.total_weight());
-        for u in 0..g.num_items() {
-            assert_eq!(csr.degree(u), g.degree(u));
-            let a: Vec<_> = csr.neighbors(u).collect();
-            let b: Vec<_> = g.neighbors(u).collect();
-            assert_eq!(a, b, "neighbour list of {u}");
-            for v in 0..g.num_items() {
-                assert_eq!(csr.weight(u, v), g.weight(u, v));
-            }
-        }
-        let ea: Vec<_> = csr.edges().collect();
-        let eb: Vec<_> = g.edges().collect();
-        assert_eq!(ea, eb);
-    }
-
-    #[test]
-    fn arrangement_cost_matches_access_graph() {
-        let g = random_graph(23, 5);
-        let csr = CsrGraph::freeze(&g);
-        let mut rng = Rng::seed_from_u64(9);
-        for _ in 0..10 {
-            let pos = random_positions(23, &mut rng);
-            assert_eq!(csr.arrangement_cost(&pos), g.arrangement_cost(&pos));
-        }
-    }
-
-    #[test]
-    fn cut_weight_mask_matches_access_graph() {
-        let g = random_graph(14, 7);
-        let csr = CsrGraph::freeze(&g);
-        let mut rng = Rng::seed_from_u64(1);
-        for _ in 0..200 {
-            let set = rng.next_u64() & ((1 << 14) - 1);
-            assert_eq!(csr.cut_weight_mask(set), g.cut_weight_mask(set));
-        }
-        assert_eq!(csr.cut_weight_mask(0), 0);
-        assert_eq!(csr.cut_weight_mask((1 << 14) - 1), 0);
-    }
-
-    #[test]
     fn swap_delta_matches_recomputation() {
         let g = random_graph(15, 11);
-        let csr = CsrGraph::freeze(&g);
         let mut rng = Rng::seed_from_u64(2);
         let pos = random_positions(15, &mut rng);
-        let eval = ArrangementEval::new(&csr, &pos);
+        let eval = ArrangementEval::new(&g, &pos);
         for a in 0..15 {
             for b in (a + 1)..15 {
                 let mut moved = pos.clone();
                 moved.swap(a, b);
-                let expect = csr.arrangement_cost(&moved) as i64 - eval.total() as i64;
+                let expect = g.arrangement_cost(&moved) as i64 - eval.total() as i64;
                 assert_eq!(eval.swap_delta(a, b), expect, "swap {a},{b}");
             }
         }
@@ -800,10 +526,9 @@ mod tests {
     #[test]
     fn relocate_delta_matches_recomputation() {
         let g = random_graph(13, 13);
-        let csr = CsrGraph::freeze(&g);
         let mut rng = Rng::seed_from_u64(4);
         let pos = random_positions(13, &mut rng);
-        let mut eval = ArrangementEval::new(&csr, &pos);
+        let mut eval = ArrangementEval::new(&g, &pos);
         for from in 0..13 {
             for to in 0..13 {
                 // Reference: rebuild the moved position vector.
@@ -814,7 +539,7 @@ mod tests {
                 for (slot, &item) in order.iter().enumerate() {
                     moved[item] = slot;
                 }
-                let expect = csr.arrangement_cost(&moved) as i64 - eval.total() as i64;
+                let expect = g.arrangement_cost(&moved) as i64 - eval.total() as i64;
                 assert_eq!(eval.relocate_delta(from, to), expect, "move {from}->{to}");
             }
         }
@@ -823,10 +548,9 @@ mod tests {
     #[test]
     fn apply_and_undo_round_trip() {
         let g = random_graph(19, 17);
-        let csr = CsrGraph::freeze(&g);
         let mut rng = Rng::seed_from_u64(6);
         let pos = random_positions(19, &mut rng);
-        let mut eval = ArrangementEval::new(&csr, &pos);
+        let mut eval = ArrangementEval::new(&g, &pos);
         let mut totals = vec![eval.total()];
         for step in 0..60 {
             if step % 3 == 0 {
@@ -842,13 +566,13 @@ mod tests {
                     eval.apply_relocate(a, b);
                 }
             }
-            assert_eq!(eval.total(), csr.arrangement_cost(eval.positions()));
+            assert_eq!(eval.total(), g.arrangement_cost(eval.positions()));
             totals.push(eval.total());
         }
         while eval.undo() {
             totals.pop();
             assert_eq!(eval.total(), *totals.last().unwrap());
-            assert_eq!(eval.total(), csr.arrangement_cost(eval.positions()));
+            assert_eq!(eval.total(), g.arrangement_cost(eval.positions()));
         }
         assert_eq!(eval.positions(), &pos[..]);
         assert_eq!(eval.log_len(), 0);
@@ -857,10 +581,9 @@ mod tests {
     #[test]
     fn boundary_cuts_sum_to_total() {
         let g = random_graph(21, 19);
-        let csr = CsrGraph::freeze(&g);
         let mut rng = Rng::seed_from_u64(8);
         let pos = random_positions(21, &mut rng);
-        let mut eval = ArrangementEval::new(&csr, &pos);
+        let mut eval = ArrangementEval::new(&g, &pos);
         let sum: u64 = (0..20).map(|i| eval.boundary_cut(i)).sum();
         assert_eq!(sum, eval.total());
         // And the array stays consistent across relocations.
@@ -876,8 +599,7 @@ mod tests {
     #[test]
     fn eval_on_diamond_matches_hand_costs() {
         let g = diamond();
-        let csr = CsrGraph::freeze(&g);
-        let eval = ArrangementEval::new(&csr, &[0, 1, 2, 3]);
+        let eval = ArrangementEval::new(&g, &[0, 1, 2, 3]);
         assert_eq!(eval.total(), 10);
         assert_eq!(eval.item_at(2), 2);
         assert_eq!(eval.position_of(3), 3);
@@ -887,11 +609,10 @@ mod tests {
     fn trivial_graphs() {
         for n in 0..2usize {
             let g = AccessGraph::with_items(n);
-            let csr = CsrGraph::freeze(&g);
-            assert_eq!(csr.num_items(), n);
-            assert_eq!(csr.num_edges(), 0);
+            assert_eq!(g.num_items(), n);
+            assert_eq!(g.num_edges(), 0);
             let pos: Vec<usize> = (0..n).collect();
-            let mut eval = ArrangementEval::new(&csr, &pos);
+            let mut eval = ArrangementEval::new(&g, &pos);
             assert_eq!(eval.total(), 0);
             assert!(!eval.undo());
         }

@@ -1,43 +1,42 @@
-//! Incremental graph maintenance: a mutable edge-delta overlay on a
-//! frozen [`CsrGraph`].
+//! Incremental graph maintenance: a mutable edge-delta overlay on an
+//! immutable [`AccessGraph`] base.
 //!
 //! Streaming consumers (the `dwm-serve` session subsystem) see accesses
 //! arrive over time and need the current access graph after every
 //! chunk. Rebuilding an [`AccessGraph`] from the full history is
-//! `O(history)` per chunk; mutating a CSR in place would wreck the
-//! cache-friendly layout every solver depends on. [`DeltaGraph`] splits
-//! the difference: the bulk of the graph stays frozen in CSR form, new
-//! edge weight accumulates in a small per-vertex overlay, and when the
-//! overlay crosses a threshold the two are merged back into a fresh
-//! CSR ([`refreeze`](DeltaGraph::refreeze)) in one `O(n + E)` pass.
+//! `O(history)` per chunk; mutating its CSR rows in place would wreck
+//! the cache-friendly layout every solver depends on. [`DeltaGraph`]
+//! splits the difference: the bulk of the graph stays in an
+//! [`AccessGraph`], new edge weight accumulates in a small per-vertex
+//! overlay, and when the overlay crosses a threshold the two are
+//! merged back into a fresh base ([`refreeze`](DeltaGraph::refreeze))
+//! in one `O(n + E)` pass.
 //!
 //! The defining invariant — pinned by the property suite — is that a
 //! delta graph fed a stream incrementally is *indistinguishable* from
 //! an [`AccessGraph`] rebuilt from scratch over the whole stream:
 //! every query agrees, [`to_access_graph`](DeltaGraph::to_access_graph)
-//! is structurally equal (`==`, hence byte-identical JSON), and a
-//! refrozen base equals [`CsrGraph::freeze`] of the rebuilt graph
-//! field for field, regardless of how the stream was chunked or when
-//! refreezes happened.
+//! is structurally equal (`==`), and a refrozen base equals the
+//! rebuilt graph field for field, regardless of how the stream was
+//! chunked or when refreezes happened.
 
 use std::collections::BTreeMap;
 
-use crate::csr::CsrGraph;
-use crate::fingerprint::{fingerprint_csr, Fingerprint};
+use crate::fingerprint::{fingerprint_with, Fingerprint};
 use crate::graph::AccessGraph;
 
 /// A mutable overlay of edge-weight deltas and item frequencies on top
-/// of a frozen [`CsrGraph`] base. See the module docs.
+/// of an [`AccessGraph`] base. See the module docs.
 #[derive(Debug, Clone)]
 pub struct DeltaGraph {
-    /// The frozen bulk of the graph. May cover fewer items than the
-    /// overlay when items appeared after the last refreeze.
-    base: CsrGraph,
+    /// The graph as of the last refreeze, frequencies included. May
+    /// cover fewer items than the overlay when items appeared after
+    /// that refreeze.
+    base: AccessGraph,
     /// Per-vertex weight added since the last refreeze, symmetric like
-    /// [`AccessGraph`] adjacency. Length is the authoritative item
-    /// count.
+    /// the base's rows. Length is the authoritative item count.
     overlay: Vec<BTreeMap<u32, u64>>,
-    /// Per-item access counts (the CSR carries none).
+    /// Current per-item access counts (the base's are a snapshot).
     frequency: Vec<u64>,
     /// Distinct undirected edges present in the overlay.
     overlay_edges: usize,
@@ -55,11 +54,11 @@ impl DeltaGraph {
         DeltaGraph::from_graph(&AccessGraph::with_items(n))
     }
 
-    /// Starts from an existing graph: `graph` becomes the frozen base
-    /// and the overlay starts empty.
+    /// Starts from an existing graph: `graph` becomes the base and the
+    /// overlay starts empty.
     pub fn from_graph(graph: &AccessGraph) -> Self {
         DeltaGraph {
-            base: CsrGraph::freeze(graph),
+            base: graph.clone(),
             overlay: vec![BTreeMap::new(); graph.num_items()],
             frequency: graph.frequencies().to_vec(),
             overlay_edges: 0,
@@ -81,7 +80,7 @@ impl DeltaGraph {
     }
 
     /// Grows the item space to at least `n` vertices (new vertices are
-    /// isolated with zero frequency). The frozen base is untouched —
+    /// isolated with zero frequency). The base is untouched —
     /// new items live purely in the overlay until the next refreeze.
     pub fn ensure_items(&mut self, n: usize) {
         if n > self.overlay.len() {
@@ -95,8 +94,8 @@ impl DeltaGraph {
     /// # Panics
     ///
     /// Panics if `u == v` or either endpoint is out of range (grow
-    /// first with [`ensure_items`](Self::ensure_items)), mirroring
-    /// [`AccessGraph::add_weight`].
+    /// first with [`ensure_items`](Self::ensure_items)), as
+    /// [`AccessGraph::from_edges`] does.
     pub fn add_weight(&mut self, u: usize, v: usize, w: u64) {
         assert_ne!(u, v, "self-loops are not representable");
         assert!(
@@ -176,8 +175,9 @@ impl DeltaGraph {
         self.refreezes
     }
 
-    /// The frozen base (excludes any pending overlay weight).
-    pub fn base(&self) -> &CsrGraph {
+    /// The base: the graph as of the last refreeze (excludes any
+    /// pending overlay weight and later accesses).
+    pub fn base(&self) -> &AccessGraph {
         &self.base
     }
 
@@ -238,23 +238,11 @@ impl DeltaGraph {
     }
 
     /// Merges the overlay into the base in one `O(n + E)` pass, leaving
-    /// the overlay empty. The resulting base is equal (`==`) to
-    /// [`CsrGraph::freeze`] of the rebuilt-from-scratch graph.
+    /// the overlay empty. The resulting base is equal (`==`) to the
+    /// graph rebuilt from scratch over the stream so far.
     pub fn refreeze(&mut self) {
-        let n = self.overlay.len();
-        let mut row_offsets = Vec::with_capacity(n + 1);
-        let mut neighbors = Vec::new();
-        let mut weights = Vec::new();
-        row_offsets.push(0);
-        for u in 0..n {
-            for (v, w) in self.merged_row(u) {
-                neighbors.push(v);
-                weights.push(w);
-            }
-            row_offsets.push(u32::try_from(neighbors.len()).expect("edge count exceeds u32"));
-        }
-        self.base = CsrGraph::from_parts(row_offsets, neighbors, weights);
-        self.overlay = vec![BTreeMap::new(); n];
+        self.base = self.to_access_graph();
+        self.overlay = vec![BTreeMap::new(); self.base.num_items()];
         self.overlay_edges = 0;
         self.overlay_weight = 0;
         self.new_edges = 0;
@@ -278,19 +266,18 @@ impl DeltaGraph {
     /// scratch over the same stream.
     pub fn to_access_graph(&self) -> AccessGraph {
         let n = self.num_items();
-        let mut g = AccessGraph::with_items(n);
+        let mut row_offsets = Vec::with_capacity(n + 1);
+        let mut neighbors = Vec::new();
+        let mut weights = Vec::new();
+        row_offsets.push(0);
         for u in 0..n {
             for (v, w) in self.merged_row(u) {
-                let v = v as usize;
-                if u < v {
-                    g.add_weight(u, v, w);
-                }
+                neighbors.push(v);
+                weights.push(w);
             }
+            row_offsets.push(u32::try_from(neighbors.len()).expect("edge count exceeds u32"));
         }
-        for (i, &f) in self.frequency.iter().enumerate() {
-            g.set_frequency(i, f);
-        }
-        g
+        AccessGraph::from_parts(row_offsets, neighbors, weights, self.frequency.clone())
     }
 
     /// Canonical fingerprint of the current graph — equal to
@@ -298,7 +285,7 @@ impl DeltaGraph {
     /// when the overlay is empty; otherwise pays one merge pass.
     pub fn fingerprint(&self) -> Fingerprint {
         if self.overlay_edges == 0 && self.base.num_items() == self.num_items() {
-            fingerprint_csr(&self.base, &self.frequency)
+            fingerprint_with(&self.base, &self.frequency)
         } else {
             crate::fingerprint::fingerprint(&self.to_access_graph())
         }
@@ -308,21 +295,21 @@ impl DeltaGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GraphDigest;
     use dwm_foundation::Rng;
 
     /// Feeds `stream` as adjacent-transition edges (the access-graph
-    /// construction rule) into both a DeltaGraph — chunked, with
-    /// refreezes sprinkled in — and a scratch AccessGraph.
+    /// construction rule) into a DeltaGraph — chunked, with refreezes
+    /// sprinkled in — and returns it beside the graph rebuilt from
+    /// scratch over the whole stream.
     fn feed(stream: &[u32], refreeze_every: usize) -> (DeltaGraph, AccessGraph) {
         let n = stream.iter().map(|&i| i as usize + 1).max().unwrap_or(0);
         let mut delta = DeltaGraph::new(0);
-        let mut scratch = AccessGraph::with_items(n);
         for (k, pair) in stream.windows(2).enumerate() {
             let (u, v) = (pair[0] as usize, pair[1] as usize);
             delta.ensure_items(u.max(v) + 1);
             if u != v {
                 delta.add_weight(u, v, 1);
-                scratch.add_weight(u, v, 1);
             }
             if refreeze_every > 0 && (k + 1) % refreeze_every == 0 {
                 delta.refreeze();
@@ -331,9 +318,9 @@ mod tests {
         for &i in stream {
             delta.ensure_items(i as usize + 1);
             delta.record_access(i as usize);
-            scratch.set_frequency(i as usize, scratch.frequency(i as usize) + 1);
         }
         delta.ensure_items(n);
+        let scratch = GraphDigest::from_dense(n, stream.iter().map(|&i| i as usize)).to_graph();
         (delta, scratch)
     }
 
@@ -366,11 +353,11 @@ mod tests {
     }
 
     #[test]
-    fn refrozen_base_equals_freeze_of_rebuilt_graph() {
+    fn refrozen_base_equals_the_rebuilt_graph() {
         let stream = random_stream(400, 17, 7);
         let (mut delta, scratch) = feed(&stream, 13);
         delta.refreeze();
-        assert_eq!(delta.base(), &CsrGraph::freeze(&scratch));
+        assert_eq!(delta.base(), &scratch);
         assert_eq!(delta.overlay_edges(), 0);
         assert!(delta.refreezes() > 0);
     }

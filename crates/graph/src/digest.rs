@@ -2,9 +2,9 @@
 //!
 //! A [`GraphDigest`] is what every consumer of a trace's access graph
 //! actually needs: the dense item count, per-item frequencies, and the
-//! weighted neighbour rows in ascending order (the same rows
-//! [`CsrGraph::freeze`](crate::CsrGraph::freeze) would produce). It is
-//! built without a `Trace`, a SipHash map or per-vertex trees:
+//! weighted neighbour rows in ascending order (exactly the rows an
+//! [`AccessGraph`] stores). It is built without a `Trace`, a SipHash
+//! map or per-vertex trees:
 //!
 //! 1. raw ids are remapped densely in first-appearance order — exactly
 //!    [`Trace::normalize`](dwm_trace::Trace::normalize)'s numbering —
@@ -18,11 +18,12 @@
 //!    place without a sort.
 //!
 //! The digest's [`fingerprint`](GraphDigest::fingerprint) equals
-//! [`fn@crate::fingerprint`] of the equivalent [`AccessGraph`] bit for bit,
-//! and [`AccessGraph::from_trace`] is itself built on these rows, so
-//! there is one edge-counting routine in the crate.
+//! [`fn@crate::fingerprint`] of the equivalent [`AccessGraph`] bit for
+//! bit, and [`GraphDigest::to_graph`] hands its rows to the graph as
+//! they are. [`AccessGraph::from_trace`], session windows, SPM
+//! projections and compiled programs all count edges here, so there is
+//! one edge-counting routine in the workspace.
 
-use std::collections::BTreeMap;
 use std::hash::{BuildHasher, RandomState};
 
 use dwm_foundation::rng::splitmix64;
@@ -171,17 +172,21 @@ impl GraphDigest {
         )
     }
 
-    /// The digest as an [`AccessGraph`].
+    /// The digest as an [`AccessGraph`]: its rows become the graph's
+    /// CSR rows as they are, with no re-sorting.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has `u32::MAX` or more row entries.
     pub fn to_graph(&self) -> AccessGraph {
-        let adj = (0..self.num_items())
-            .map(|u| {
-                self.row(u)
-                    .iter()
-                    .map(|&(v, w)| (v as usize, w))
-                    .collect::<BTreeMap<_, _>>()
-            })
+        let row_offsets = self
+            .row_offsets
+            .iter()
+            .map(|&o| u32::try_from(o).expect("edge count exceeds u32"))
             .collect();
-        AccessGraph::from_parts(adj, self.frequency.clone())
+        let neighbors = self.rows.iter().map(|&(v, _)| v).collect();
+        let weights = self.rows.iter().map(|&(_, w)| w).collect();
+        AccessGraph::from_parts(row_offsets, neighbors, weights, self.frequency.clone())
     }
 }
 

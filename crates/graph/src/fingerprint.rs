@@ -8,11 +8,11 @@
 //! identical input. The canonical identity of a placement problem is
 //! its access graph: algorithms consume only the weighted adjacency
 //! structure plus per-item frequencies, so the fingerprint hashes
-//! exactly that, in the frozen CSR order (which is itself canonical —
+//! exactly that, in CSR row order (which is itself canonical —
 //! ascending neighbour lists per vertex).
 //!
-//! One hash stream serves every row source: [`CsrGraph`] slices,
-//! [`AccessGraph`] neighbour walks, and the rows of a
+//! One hash stream serves every row source: [`AccessGraph`] rows, a
+//! [`DeltaGraph`](crate::DeltaGraph)'s base, and the rows of a
 //! [`GraphDigest`](crate::GraphDigest) — the serving path's route from
 //! raw request ids straight to a cache key, which never materializes
 //! a trace or a graph. The same adjacency therefore hashes the same
@@ -27,7 +27,6 @@
 
 use std::fmt;
 
-use crate::csr::CsrGraph;
 use crate::graph::AccessGraph;
 
 /// A 128-bit stable hash of a workload's canonical access graph.
@@ -112,8 +111,8 @@ impl Lanes {
 /// The one hash stream behind every fingerprint: item count, then per
 /// vertex a marker and its `(neighbour, weight)` row in ascending
 /// neighbour order, a section separator, then per-item frequencies.
-/// Any row source works — CSR slices, digest rows, or tree walks —
-/// because the stream depends only on the rows' contents.
+/// Any row source works — graph rows or digest rows — because the
+/// stream depends only on the rows' contents.
 pub(crate) fn fingerprint_rows<R>(
     rows: impl ExactSizeIterator<Item = R>,
     frequencies: &[u64],
@@ -137,29 +136,24 @@ where
     lanes.finish()
 }
 
-/// Fingerprints a frozen graph (see the module docs for what counts as
-/// canonical). The stream is: item count, per-vertex neighbour lists
-/// (vertex, neighbour, weight triples in CSR order), then per-item
-/// frequencies.
-pub fn fingerprint_csr(csr: &CsrGraph, frequencies: &[u64]) -> Fingerprint {
+/// Fingerprints an [`AccessGraph`] over its ascending neighbour rows.
+/// Two graphs compare equal under this fingerprint exactly when they
+/// have the same vertex count, edge weights, and item frequencies —
+/// the full input every placement algorithm consumes.
+pub fn fingerprint(graph: &AccessGraph) -> Fingerprint {
+    fingerprint_with(graph, graph.frequencies())
+}
+
+/// [`fingerprint`] of `graph`'s rows with `frequencies` in place of
+/// its own — for a [`DeltaGraph`](crate::DeltaGraph), whose counts run
+/// ahead of its base.
+pub(crate) fn fingerprint_with(graph: &AccessGraph, frequencies: &[u64]) -> Fingerprint {
     fingerprint_rows(
-        (0..csr.num_items()).map(|u| {
-            let (vs, ws) = csr.neighbor_slices(u);
+        (0..graph.num_items()).map(|u| {
+            let (vs, ws) = graph.neighbor_slices(u);
             vs.iter().zip(ws).map(|(&v, &w)| (u64::from(v), w))
         }),
         frequencies,
-    )
-}
-
-/// Fingerprints an [`AccessGraph`] over its ascending neighbour lists
-/// (the rows [`CsrGraph::freeze`] would flatten). Two graphs compare
-/// equal under this fingerprint exactly when they have the same vertex
-/// count, edge weights, and item frequencies — the full input every
-/// placement algorithm consumes.
-pub fn fingerprint(graph: &AccessGraph) -> Fingerprint {
-    fingerprint_rows(
-        (0..graph.num_items()).map(|u| graph.neighbors(u).map(|(v, w)| (v as u64, w))),
-        graph.frequencies(),
     )
 }
 
@@ -222,18 +216,15 @@ mod tests {
         // Different edge weight.
         assert_ne!(base, fingerprint(&graph_of(&[0, 1, 0, 2, 1, 2, 1])));
         // Same edges, different frequency split.
-        let mut g1 = graph_of(&[0, 1, 0, 2, 1, 2]);
-        g1.set_frequency(0, g1.frequency(0) + 1);
-        assert_ne!(base, fingerprint(&g1));
+        let g = graph_of(&[0, 1, 0, 2, 1, 2]);
+        let mut bumped = g.frequencies().to_vec();
+        bumped[0] += 1;
+        let edges = g.edges().map(|e| (e.u, e.v, e.weight));
+        assert_ne!(base, fingerprint(&AccessGraph::from_edges(bumped, edges)));
         // Extra isolated vertex.
-        let mut g2 = AccessGraph::with_items(4);
-        g2.add_weight(0, 1, 2);
-        g2.add_weight(0, 2, 1);
-        g2.add_weight(1, 2, 2);
-        let mut g3 = AccessGraph::with_items(3);
-        g3.add_weight(0, 1, 2);
-        g3.add_weight(0, 2, 1);
-        g3.add_weight(1, 2, 2);
+        let edges = [(0, 1, 2), (0, 2, 1), (1, 2, 2)];
+        let g2 = AccessGraph::from_edges(vec![0; 4], edges);
+        let g3 = AccessGraph::from_edges(vec![0; 3], edges);
         assert_ne!(fingerprint(&g2), fingerprint(&g3));
     }
 

@@ -20,18 +20,15 @@ use crate::graph::AccessGraph;
 pub fn random_graph(n: usize, density: f64, max_weight: u64, seed: u64) -> AccessGraph {
     assert!(max_weight > 0, "max_weight must be nonzero");
     let mut rng = Rng::seed_from_u64(seed);
-    let mut g = AccessGraph::with_items(n);
+    let mut edges = Vec::new();
     for u in 0..n {
         for v in (u + 1)..n {
             if rng.gen_bool(density.clamp(0.0, 1.0)) {
-                g.add_weight(u, v, rng.gen_range(1..=max_weight));
+                edges.push((u, v, rng.gen_range(1..=max_weight)));
             }
         }
     }
-    for u in 0..n {
-        g.set_frequency(u, g.degree(u));
-    }
-    g
+    degree_weighted(n, edges)
 }
 
 /// A weighted path `0—1—…—(n−1)`, every edge of weight `w`.
@@ -39,14 +36,7 @@ pub fn random_graph(n: usize, density: f64, max_weight: u64, seed: u64) -> Acces
 /// Paths are the best case for linear arrangement (the identity order
 /// is optimal), which makes them handy ground truth in tests.
 pub fn path_graph(n: usize, w: u64) -> AccessGraph {
-    let mut g = AccessGraph::with_items(n);
-    for u in 0..n.saturating_sub(1) {
-        g.add_weight(u, u + 1, w);
-    }
-    for u in 0..n {
-        g.set_frequency(u, g.degree(u));
-    }
-    g
+    degree_weighted(n, (1..n).map(|v| (v - 1, v, w)).collect())
 }
 
 /// Clustered graph: `n` vertices in `k` equal clusters; intra-cluster
@@ -70,23 +60,39 @@ pub fn clustered_graph(
 ) -> AccessGraph {
     assert!(k > 0, "cluster count must be nonzero");
     let mut rng = Rng::seed_from_u64(seed);
-    let mut g = AccessGraph::with_items(n);
+    let mut edges = Vec::new();
     let cluster = |v: usize| v * k / n.max(1);
     for u in 0..n {
         for v in (u + 1)..n {
             if cluster(u) == cluster(v) {
                 if rng.gen_bool(p_in.clamp(0.0, 1.0)) {
-                    g.add_weight(u, v, w_in);
+                    edges.push((u, v, w_in));
                 }
             } else if rng.gen_bool(p_out.clamp(0.0, 1.0)) {
-                g.add_weight(u, v, 1);
+                edges.push((u, v, 1));
             }
         }
     }
-    for u in 0..n {
-        g.set_frequency(u, g.degree(u));
+    degree_weighted(n, edges)
+}
+
+/// The graph over `n` items with `edges`, each item's frequency set to
+/// its weighted degree, so frequency-aware algorithms behave sensibly
+/// on graphs that never came from a trace.
+///
+/// # Panics
+///
+/// Panics on a self-loop or an out-of-range endpoint, as
+/// [`AccessGraph::from_edges`] does.
+pub fn degree_weighted(n: usize, edges: Vec<(usize, usize, u64)>) -> AccessGraph {
+    let mut frequency = vec![0u64; n];
+    for &(u, v, w) in &edges {
+        if u < n && v < n {
+            frequency[u] += w;
+            frequency[v] += w;
+        }
     }
-    g
+    AccessGraph::from_edges(frequency, edges)
 }
 
 #[cfg(test)]

@@ -14,6 +14,15 @@
 //! placement crate layers heuristics, spectral methods, and an exact DP
 //! on top of the queries this crate provides.
 //!
+//! There is one graph type, [`AccessGraph`], stored in compressed
+//! sparse row form with its derived caches, and assembled in one place
+//! from sorted rows: a [`GraphDigest`]'s (the route from a trace, raw
+//! ids or any dense id sequence), an edge list
+//! ([`AccessGraph::from_edges`]), or a [`DeltaGraph`] refreeze (the
+//! streaming route). [`ArrangementEval`] answers incremental
+//! arrangement-cost deltas over it, and [`fn@fingerprint`] gives the
+//! canonical 128-bit workload identity.
+//!
 //! # Example
 //!
 //! ```
@@ -57,7 +66,7 @@ pub fn register_obs_metrics() {
 pub mod prelude {
     pub use crate::generators::{clustered_graph, path_graph, random_graph};
     pub use crate::{
-        fingerprint, fingerprint_topology, AccessGraph, ArrangementEval, CsrGraph, DeltaGraph,
-        Edge, Fingerprint, GraphDigest,
+        fingerprint, fingerprint_topology, AccessGraph, ArrangementEval, DeltaGraph, Edge,
+        Fingerprint, GraphDigest,
     };
 }

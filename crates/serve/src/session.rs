@@ -6,8 +6,8 @@
 //! chunks and maintains, incrementally:
 //!
 //! * the weighted access graph, as a [`DeltaGraph`] — a mutable edge
-//!   overlay on a frozen CSR base, refrozen once the overlay passes a
-//!   configured threshold;
+//!   overlay on an immutable CSR base, refrozen once the overlay passes
+//!   a configured threshold;
 //! * a streaming [`PhaseDetector`] over the access distribution, with
 //!   consecutive-window confirmation as hysteresis against noise;
 //! * the live placement. On a *confirmed* phase change the session
@@ -53,7 +53,7 @@ use dwm_core::anytime::{self, AnytimePlacement, Quality};
 use dwm_core::online::{OnlineConfig, OnlinePlacer};
 use dwm_core::Placement;
 use dwm_device::{PortLayout, Topology, TrackTopology};
-use dwm_graph::{AccessGraph, DeltaGraph, Fingerprint};
+use dwm_graph::{DeltaGraph, Fingerprint, GraphDigest};
 use dwm_trace::analysis::PhaseDetector;
 
 /// Seed the tiered re-placement solver uses for its stochastic tier-2
@@ -440,16 +440,7 @@ impl SessionState {
     /// count) and adopts or suppresses the candidate.
     fn consider_replacement(&mut self, report: &mut IngestReport) {
         let n = self.placement.len();
-        let mut window_graph = AccessGraph::with_items(n);
-        for pair in self.window_buf.windows(2) {
-            let (u, v) = (pair[0], pair[1]);
-            if u != v {
-                window_graph.add_weight(u, v, 1);
-            }
-        }
-        for &i in &self.window_buf {
-            window_graph.set_frequency(i, window_graph.frequency(i) + 1);
-        }
+        let window_graph = GraphDigest::from_dense(n, self.window_buf.iter().copied()).to_graph();
         let placement = Placement::from_offsets(self.placement.clone())
             .expect("session placement is a permutation by construction");
         let decision = match self.replacement_solver(n, window_graph.num_edges()) {

@@ -75,9 +75,10 @@ PAIR=(--pair serve/serve/solve_hit serve/serve/solve_hit_obs_off
       --pair serve/serve/solve_hit_idle_load serve/serve/solve_hit_lane_quiet
       --pair-threshold "${DWM_BENCH_OBS_THRESHOLD:-0.05}")
 
-# Same-run dispatch ceiling: graph/csr_build/64 freezes four 64-item
-# graphs through one par_map, ~44 us of work at t1, so its /t4 twin is
-# dominated by what dispatching a parallel call costs. t4 may take at
+# Same-run dispatch ceiling: graph/csr_build/64 builds four 64-item
+# graphs from their digest rows through one par_map, tens of us of
+# work at t1, so its /t4 twin is dominated by what dispatching a
+# parallel call costs. t4 may take at
 # most 1.5x as long as t1 (t1/t4 >= 0.67). Spawning the workers per
 # call cost ~100 us there (t1/t4 0.29 in the BENCH_9 baseline); the
 # persistent pool parks its helpers between calls instead. Like the

@@ -1,13 +1,13 @@
-//! CSR-rewire equivalence: the frozen-graph fast paths must be a pure
+//! CSR-rewire equivalence: the CSR access graph must be a pure
 //! representation change.
 //!
 //! Every solver's output is pinned to a golden FNV-1a hash of its
 //! serialized placement, captured from the pre-CSR `BTreeMap`
 //! adjacency implementation. The hashes must stay identical after the
-//! rewire onto `CsrGraph` / `ArrangementEval` — any drift means a
-//! heuristic changed, not just its data layout. Each artifact is also
-//! required to be byte-identical at `DWM_THREADS=1` and `=8`, so the
-//! frozen-graph paths keep the pool-size-invariance contract of
+//! rewire onto the CSR `AccessGraph` / `ArrangementEval` — any drift
+//! means a heuristic changed, not just its data layout. Each artifact
+//! is also required to be byte-identical at `DWM_THREADS=1` and `=8`,
+//! so the CSR paths keep the pool-size-invariance contract of
 //! `tests/parallel.rs`.
 //!
 //! Regenerating (only after an *intentional* heuristic change): run
@@ -80,9 +80,8 @@ fn artifacts() -> Vec<(&'static str, String)> {
     // window-local kernel above (same golden hash): the kernel is a
     // performance decision, never a behavioral one.
     out.push(("local-search/scalar", {
-        let csr = CsrGraph::freeze(&mg);
         let mut p = RandomPlacement::new(3).place(&mg);
-        let saved = LocalSearch::default().refine_frozen_scalar(&csr, &mut p);
+        let saved = LocalSearch::default().refine_scalar(&mg, &mut p);
         format!("{} saved={saved}", json(&p))
     }));
     out.push(("window-dp", {

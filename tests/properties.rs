@@ -6,6 +6,8 @@
 //! (48 cases per property; crank `DWM_CHECK_CASES` for soak runs, or
 //! replay one failure with `DWM_CHECK_SEED`).
 
+use std::collections::BTreeMap;
+
 use dwm_foundation::{require, require_eq, Checker, Rng};
 use dwm_placement::core::algorithms::standard_suite;
 use dwm_placement::core::exact::optimal_placement;
@@ -209,10 +211,10 @@ fn simulator_matches_model_on_random_traces() {
                 .trace_cost(&p, trace)
                 .stats
                 .shifts;
-            // Three-way cross-validation: the frozen CSR arrangement
-            // cost must match the analytic replay (minus the first
+            // Three-way cross-validation: the graph's arrangement cost
+            // must match the analytic replay (minus the first
             // alignment) and the bit-level simulator below.
-            let csr_cost = CsrGraph::freeze(&graph).arrangement_cost(p.offsets());
+            let csr_cost = graph.arrangement_cost(p.offsets());
             let alignment = p.offset_of_id(trace.accesses()[0].item) as u64;
             require_eq!(csr_cost + alignment, analytic);
             let config = DeviceConfig::builder()
@@ -229,39 +231,179 @@ fn simulator_matches_model_on_random_traces() {
     );
 }
 
-/// Freezing a graph into CSR form preserves every query: edge
-/// iteration (order included), degrees, total weight, arrangement
-/// costs, and bitmask cut weights.
-#[test]
-fn csr_freeze_preserves_graph_queries() {
-    Checker::new("csr_freeze_preserves_graph_queries").run(
-        |rng| {
-            (
-                arb_graph(rng, 24),
-                rng.gen_range(0..1000u64),
-                rng.gen_range(0..u64::MAX),
-            )
-        },
-        |(graph, seed, raw_set)| {
-            let csr = CsrGraph::freeze(graph);
-            require_eq!(csr.num_items(), graph.num_items());
-            let a: Vec<Edge> = graph.edges().collect();
-            let b: Vec<Edge> = csr.edges().collect();
-            require_eq!(a, b);
-            require_eq!(csr.total_weight(), graph.total_weight());
-            for v in 0..graph.num_items() {
-                require_eq!(csr.degree(v), graph.degree(v));
-                let gn: Vec<(usize, u64)> = graph.neighbors(v).collect();
-                let cn: Vec<(usize, u64)> = csr.neighbors(v).collect();
-                require_eq!(gn, cn);
+/// The test-local reference graph: one `BTreeMap` row per vertex and
+/// plain per-item counts, filled by direct counting. Every route to an
+/// [`AccessGraph`] is checked against it query by query.
+#[derive(Debug, Clone)]
+struct Oracle {
+    adj: Vec<BTreeMap<usize, u64>>,
+    frequency: Vec<u64>,
+}
+
+impl Oracle {
+    /// Counts a sequence over items `0..n`: one access per element and
+    /// one unit of weight per transition between distinct items. Items
+    /// that never occur stay isolated.
+    fn from_dense(n: usize, seq: &[usize]) -> Self {
+        let mut oracle = Oracle {
+            adj: vec![BTreeMap::new(); n],
+            frequency: vec![0; n],
+        };
+        for &i in seq {
+            oracle.frequency[i] += 1;
+        }
+        for pair in seq.windows(2) {
+            let (u, v) = (pair[0], pair[1]);
+            if u != v {
+                *oracle.adj[u].entry(v).or_insert(0) += 1;
+                *oracle.adj[v].entry(u).or_insert(0) += 1;
             }
-            let p = RandomPlacement::new(*seed).place(graph);
-            require_eq!(
-                csr.arrangement_cost(p.offsets()),
-                graph.arrangement_cost(p.offsets())
-            );
-            let set = raw_set & ((1u64 << graph.num_items()) - 1);
-            require_eq!(csr.cut_weight_mask(set), graph.cut_weight_mask(set));
+        }
+        oracle
+    }
+
+    /// Counts raw ids after normalizing them through a `Trace` (the
+    /// builder the digest replaced).
+    fn from_ids(ids: &[u32]) -> Self {
+        let trace = Trace::from_ids(ids.iter().copied()).normalize();
+        let seq: Vec<usize> = trace.iter().map(|a| a.item.index()).collect();
+        Oracle::from_dense(trace.num_items(), &seq)
+    }
+
+    /// Every edge once, `u < v`, in lexicographic order.
+    fn edges(&self) -> Vec<(usize, usize, u64)> {
+        self.adj
+            .iter()
+            .enumerate()
+            .flat_map(|(u, row)| row.range(u + 1..).map(move |(&v, &w)| (u, v, w)))
+            .collect()
+    }
+
+    /// Checks every query of `graph` against the oracle: rows and their
+    /// order, weights, degrees, edges, total weight, the arrangement
+    /// cost of a random placement, the cut weight of `raw_set`,
+    /// frequencies and the fingerprint.
+    fn check(&self, graph: &AccessGraph, seed: u64, raw_set: u64) -> Result<(), String> {
+        let n = self.adj.len();
+        let edges = self.edges();
+        require_eq!(graph.num_items(), n);
+        require_eq!(graph.num_edges(), edges.len());
+        require_eq!(graph.frequencies(), &self.frequency[..]);
+        for (u, row) in self.adj.iter().enumerate() {
+            let want: Vec<(usize, u64)> = row.iter().map(|(&v, &w)| (v, w)).collect();
+            let got: Vec<(usize, u64)> = graph.neighbors(u).collect();
+            require_eq!(got, want, "row {u}");
+            let (vs, ws) = graph.neighbor_slices(u);
+            let sliced: Vec<(usize, u64)> =
+                vs.iter().zip(ws).map(|(&v, &w)| (v as usize, w)).collect();
+            require_eq!(sliced, want, "row slices {u}");
+            require_eq!(graph.degree(u), row.values().sum::<u64>(), "degree {u}");
+            require_eq!(graph.frequency(u), self.frequency[u]);
+            for v in 0..n.min(64) {
+                let w = row.get(&v).copied().unwrap_or(0);
+                require_eq!(graph.weight(u, v), w, "weight {u},{v}");
+            }
+        }
+        let got: Vec<(usize, usize, u64)> = graph.edges().map(|e| (e.u, e.v, e.weight)).collect();
+        require_eq!(got, edges);
+        require_eq!(graph.total_weight(), edges.iter().map(|e| e.2).sum::<u64>());
+        let p = RandomPlacement::new(seed).place(graph);
+        let pos = p.offsets();
+        let cost: u64 = edges
+            .iter()
+            .map(|&(u, v, w)| w * pos[u].abs_diff(pos[v]) as u64)
+            .sum();
+        require_eq!(graph.arrangement_cost(pos), cost);
+        if n <= 64 {
+            let set = if n == 64 {
+                raw_set
+            } else {
+                raw_set & ((1u64 << n) - 1)
+            };
+            let cut: u64 = edges
+                .iter()
+                .filter(|&&(u, v, _)| (set >> u & 1) != (set >> v & 1))
+                .map(|e| e.2)
+                .sum();
+            require_eq!(graph.cut_weight_mask(set), cut);
+        }
+        let rebuilt = AccessGraph::from_edges(self.frequency.clone(), edges);
+        require_eq!(fingerprint(graph), fingerprint(&rebuilt));
+        Ok(())
+    }
+}
+
+/// Generator: a sequence over an alphabet of `1..=k` items inside an
+/// item space of `n >= k` (trailing items never occur, as in session
+/// windows and compiled programs), a refreeze cadence, a placement
+/// seed and a raw cut set.
+fn arb_dense(rng: &mut Rng) -> (usize, Vec<usize>, usize, u64, u64) {
+    let k = rng.gen_range(1..=24usize);
+    let n = k + rng.gen_range(0..=3usize);
+    let len = rng.gen_range(0..=300usize);
+    let seq = (0..len).map(|_| rng.gen_range(0..k)).collect();
+    (
+        n,
+        seq,
+        rng.gen_range(0..40usize),
+        rng.gen_range(0..1000u64),
+        rng.gen_range(0..u64::MAX),
+    )
+}
+
+/// Every route to an [`AccessGraph`] answers every query exactly like
+/// the `BTreeMap` oracle: [`GraphDigest::from_dense`] (with isolated
+/// trailing items), [`AccessGraph::from_trace`], [`AccessGraph::from_edges`]
+/// (edges split, flipped and shuffled), and
+/// [`DeltaGraph::to_access_graph`] and its refrozen base.
+#[test]
+fn every_graph_route_matches_the_btreemap_oracle() {
+    Checker::new("every_graph_route_matches_the_btreemap_oracle").run(
+        arb_dense,
+        |(n, seq, refreeze_every, seed, raw_set)| {
+            let (n, seed, raw_set) = (*n, *seed, *raw_set);
+            let oracle = Oracle::from_dense(n, seq);
+            let digest = GraphDigest::from_dense(n, seq.iter().copied());
+            oracle.check(&digest.to_graph(), seed, raw_set)?;
+            require_eq!(digest.fingerprint(), fingerprint(&digest.to_graph()));
+
+            let ids: Vec<u32> = seq.iter().map(|&i| i as u32).collect();
+            let normalized = Trace::from_ids(ids.iter().copied()).normalize();
+            Oracle::from_ids(&ids).check(&AccessGraph::from_trace(&normalized), seed, raw_set)?;
+
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut pieces = Vec::new();
+            for (u, v, w) in oracle.edges() {
+                let split = rng.gen_range(0..=w);
+                for part in [split, w - split] {
+                    if part > 0 {
+                        pieces.push(if rng.gen_bool(0.5) {
+                            (u, v, part)
+                        } else {
+                            (v, u, part)
+                        });
+                    }
+                }
+            }
+            for i in (1..pieces.len()).rev() {
+                pieces.swap(i, rng.gen_range(0..=i));
+            }
+            let from_edges = AccessGraph::from_edges(oracle.frequency.clone(), pieces);
+            oracle.check(&from_edges, seed, raw_set)?;
+
+            let mut delta = DeltaGraph::new(n);
+            for (step, &i) in seq.iter().enumerate() {
+                delta.record_access(i);
+                if step > 0 && seq[step - 1] != i {
+                    delta.add_weight(seq[step - 1], i, 1);
+                }
+                if *refreeze_every > 0 && step % refreeze_every == 0 {
+                    delta.refreeze();
+                }
+            }
+            oracle.check(&delta.to_access_graph(), seed, raw_set)?;
+            delta.refreeze();
+            oracle.check(delta.base(), seed, raw_set)?;
             Ok(())
         },
     );
@@ -289,9 +431,8 @@ fn arrangement_eval_matches_full_recompute() {
             (graph, seed, moves)
         },
         |(graph, seed, moves)| {
-            let csr = CsrGraph::freeze(graph);
             let start = RandomPlacement::new(*seed).place(graph);
-            let mut eval = ArrangementEval::new(&csr, start.offsets());
+            let mut eval = ArrangementEval::new(graph, start.offsets());
             let initial = eval.total();
             require_eq!(initial, graph.arrangement_cost(start.offsets()));
             for &(kind, x, y) in moves {
@@ -441,11 +582,12 @@ fn wear_rotation_conserves_writes() {
 }
 
 /// Streaming a trace through a [`DeltaGraph`] — under a random
-/// refreeze cadence — answers every query exactly like an
-/// [`AccessGraph`] rebuilt from scratch, and after a final refreeze
-/// the frozen CSR base is field-identical (`==`, covering every
-/// derived cache) to freezing the rebuilt graph. The serve session
-/// subsystem's determinism rests on this.
+/// refreeze cadence — answers every query exactly like the `BTreeMap`
+/// oracle counted over the same stream, exports a graph equal (`==`)
+/// to [`AccessGraph::from_trace`] of the whole trace, and after a
+/// final refreeze holds that graph as its base, field for field
+/// (every derived cache included). The serve session subsystem's
+/// determinism rests on this.
 fn check_delta_graph_matches_rebuilt(name: &str, threads: usize) {
     use dwm_foundation::par;
     let _guard = par::override_threads(threads);
@@ -460,16 +602,13 @@ fn check_delta_graph_matches_rebuilt(name: &str, threads: usize) {
         |(trace, refreeze_every, seed)| {
             let n = trace.num_items();
             let mut delta = DeltaGraph::new(n);
-            let mut scratch = AccessGraph::with_items(n);
             let mut last: Option<usize> = None;
             for (step, access) in trace.accesses().iter().enumerate() {
                 let i = access.item.index();
                 delta.record_access(i);
-                scratch.set_frequency(i, scratch.frequency(i) + 1);
                 if let Some(prev) = last {
                     if prev != i {
                         delta.add_weight(prev, i, 1);
-                        scratch.add_weight(prev, i, 1);
                     }
                 }
                 last = Some(i);
@@ -477,35 +616,42 @@ fn check_delta_graph_matches_rebuilt(name: &str, threads: usize) {
                     delta.maybe_refreeze(*refreeze_every);
                 }
             }
-            // Every live query agrees with the rebuilt graph.
-            require_eq!(delta.num_items(), scratch.num_items());
-            require_eq!(delta.num_edges(), scratch.num_edges());
-            require_eq!(delta.total_weight(), scratch.total_weight());
-            require_eq!(delta.frequencies(), scratch.frequencies());
+            // Every live query agrees with the oracle.
+            let seq: Vec<usize> = trace.iter().map(|a| a.item.index()).collect();
+            let oracle = Oracle::from_dense(n, &seq);
+            require_eq!(delta.num_items(), n);
+            require_eq!(delta.num_edges(), oracle.edges().len());
+            require_eq!(
+                delta.total_weight(),
+                oracle.edges().iter().map(|e| e.2).sum::<u64>()
+            );
+            require_eq!(delta.frequencies(), &oracle.frequency[..]);
             for u in 0..n {
-                require_eq!(delta.degree(u), scratch.degree(u));
+                require_eq!(delta.degree(u), oracle.adj[u].values().sum::<u64>());
                 for v in 0..n {
                     if u != v {
-                        require_eq!(delta.weight(u, v), scratch.weight(u, v));
+                        let w = oracle.adj[u].get(&v).copied().unwrap_or(0);
+                        require_eq!(delta.weight(u, v), w);
                     }
                 }
             }
-            let p = RandomPlacement::new(*seed).place(&scratch);
+            let rebuilt = AccessGraph::from_trace(trace);
+            let p = RandomPlacement::new(*seed).place(&rebuilt);
             require_eq!(
                 delta.arrangement_cost(p.offsets()),
-                scratch.arrangement_cost(p.offsets())
+                rebuilt.arrangement_cost(p.offsets())
             );
-            require_eq!(delta.fingerprint(), fingerprint(&scratch));
+            require_eq!(delta.fingerprint(), fingerprint(&rebuilt));
             require!(
-                delta.to_access_graph() == scratch,
+                delta.to_access_graph() == rebuilt,
                 "to_access_graph diverged from the rebuilt graph"
             );
-            // After a forced refreeze, the CSR base must be identical
-            // to freezing the rebuilt graph — same adjacency, same
-            // derived caches, byte for byte.
+            // After a forced refreeze, the base must be identical to
+            // the rebuilt graph — same rows, same derived caches, same
+            // frequencies.
             delta.refreeze();
-            require_eq!(delta.base(), &CsrGraph::freeze(&scratch));
-            require_eq!(delta.fingerprint(), fingerprint(&scratch));
+            require_eq!(delta.base(), &rebuilt);
+            require_eq!(delta.fingerprint(), fingerprint(&rebuilt));
             Ok(())
         },
     );
@@ -553,25 +699,6 @@ fn online_placer_invariants() {
     );
 }
 
-/// The pre-digest graph builder, kept only as the digest's reference:
-/// normalize through a `Trace`, then count every transition into the
-/// `BTreeMap` adjacency with `add_weight`.
-fn reference_graph(ids: &[u32]) -> AccessGraph {
-    let trace = Trace::from_ids(ids.iter().copied()).normalize();
-    let mut g = AccessGraph::with_items(trace.num_items());
-    for a in trace.iter() {
-        let i = a.item.index();
-        g.set_frequency(i, g.frequency(i) + 1);
-    }
-    for pair in trace.accesses().windows(2) {
-        let (u, v) = (pair[0].item.index(), pair[1].item.index());
-        if u != v {
-            g.add_weight(u, v, 1);
-        }
-    }
-    g
-}
-
 /// Generator: raw request ids. Lengths include 1; pools include a
 /// single repeated id (no edges), dense ids, sparse ids with `0` and
 /// `u32::MAX`, and wide random pools.
@@ -601,25 +728,67 @@ fn arb_ids(rng: &mut Rng) -> Vec<u32> {
 }
 
 /// The digest the serving path keys on equals the old normalize +
-/// `BTreeMap` builder: same graph, same fingerprint by every route.
+/// `BTreeMap` builder: same rows, same queries, same fingerprint by
+/// every route.
 #[test]
 fn digest_matches_the_reference_graph_builder() {
-    use dwm_placement::graph::fingerprint::fingerprint_csr;
     Checker::new("digest_matches_the_reference_graph_builder")
         .cases(256)
         .run(arb_ids, |ids| {
-            let reference = reference_graph(ids);
+            let reference = Oracle::from_ids(ids);
             let digest = GraphDigest::from_ids(ids);
-            require_eq!(digest.num_items(), reference.num_items());
-            require_eq!(digest.num_edges(), reference.num_edges());
-            require_eq!(digest.to_graph(), reference.clone());
-            let frozen = fingerprint_csr(&CsrGraph::freeze(&reference), reference.frequencies());
-            require_eq!(digest.fingerprint(), frozen);
-            require_eq!(fingerprint(&reference), frozen);
+            require_eq!(digest.num_items(), reference.adj.len());
+            require_eq!(digest.num_edges(), reference.edges().len());
+            require_eq!(digest.frequencies(), &reference.frequency[..]);
+            let graph = digest.to_graph();
+            let seed = u64::from(ids[0]);
+            reference.check(&graph, seed, seed.rotate_left(17))?;
+            require_eq!(digest.fingerprint(), fingerprint(&graph));
             let normalized = Trace::from_ids(ids.iter().copied()).normalize();
-            require_eq!(AccessGraph::from_trace(&normalized), reference);
+            require_eq!(AccessGraph::from_trace(&normalized), graph);
             Ok(())
         });
+}
+
+/// The SPM allocator's per-DBC sub-graphs: the trace projected onto one
+/// part's items, renumbered locally, counts each item exactly as often
+/// as the parent graph does, and its rows are the oracle's — so the
+/// sub-graph needs no frequencies from the parent.
+#[test]
+fn spm_projection_counts_equal_parent_frequencies() {
+    Checker::new("spm_projection_counts_equal_parent_frequencies").run(
+        |rng| {
+            let trace = arb_trace(rng, 24, 300);
+            let parts = rng.gen_range(1..=4usize);
+            let part_of: Vec<usize> = (0..trace.num_items())
+                .map(|_| rng.gen_range(0..parts))
+                .collect();
+            (trace, parts, part_of, rng.gen_range(0..1000u64))
+        },
+        |(trace, parts, part_of, seed)| {
+            let parent = AccessGraph::from_trace(trace);
+            for p in 0..*parts {
+                let items: Vec<usize> = (0..part_of.len()).filter(|&i| part_of[i] == p).collect();
+                let mut local = vec![usize::MAX; part_of.len()];
+                for (li, &item) in items.iter().enumerate() {
+                    local[item] = li;
+                }
+                let projected: Vec<usize> = trace
+                    .iter()
+                    .map(|a| a.item.index())
+                    .filter(|&i| part_of[i] == p)
+                    .map(|i| local[i])
+                    .collect();
+                let sub =
+                    GraphDigest::from_dense(items.len(), projected.iter().copied()).to_graph();
+                for (li, &item) in items.iter().enumerate() {
+                    require_eq!(sub.frequency(li), parent.frequency(item), "item {item}");
+                }
+                Oracle::from_dense(items.len(), &projected).check(&sub, *seed, *seed)?;
+            }
+            Ok(())
+        },
+    );
 }
 
 /// Generator: one local-search differential case — a random,
@@ -665,10 +834,9 @@ fn local_search_kernels_agree() {
     Checker::new("local_search_kernels_agree").cases(400).run(
         arb_refinement,
         |(graph, refiner, start)| {
-            let csr = CsrGraph::freeze(graph);
             let (mut fast, mut scalar) = (start.clone(), start.clone());
-            let saved_fast = refiner.refine_frozen(&csr, &mut fast);
-            let saved_scalar = refiner.refine_frozen_scalar(&csr, &mut scalar);
+            let saved_fast = refiner.refine(graph, &mut fast);
+            let saved_scalar = refiner.refine_scalar(graph, &mut scalar);
             require_eq!(fast, scalar);
             require_eq!(saved_fast, saved_scalar);
             Ok(())
