@@ -315,9 +315,12 @@ impl OnlinePlacer {
         let items_moved: u64 = (0..n)
             .filter(|&i| placement.offset_of(i) != candidate.offset_of(i))
             .count() as u64;
-        let bill = items_moved * self.config.migration_shifts_per_item;
-        let predicted_saving =
-            current_cost.saturating_sub(candidate_cost) * self.config.horizon_windows;
+        // Both knobs come from untrusted session bodies: a prohibitive
+        // cost saturates the bill, which then suppresses the re-placement.
+        let bill = items_moved.saturating_mul(self.config.migration_shifts_per_item);
+        let predicted_saving = current_cost
+            .saturating_sub(candidate_cost)
+            .saturating_mul(self.config.horizon_windows);
         let adapt =
             items_moved > 0 && predicted_saving as f64 > self.config.hysteresis * bill as f64;
         Decision {

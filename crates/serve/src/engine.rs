@@ -63,17 +63,29 @@
 //!
 //! # Observability
 //!
-//! Each engine owns a private [`obs::Registry`] holding its request
-//! counters, request-latency histogram, and scrape-time callbacks
-//! over the [`SolveCache`]'s own counters — so `/stats` and
-//! `GET /metrics` are two renderings of one source of truth and can
-//! never disagree. `/metrics` additionally renders the
-//! [`obs::global`] registry (solver, simulator, and transport
-//! metrics) in Prometheus text exposition format. The request
-//! counters use the gate-bypassing `add_always` path so `/stats`
-//! stays correct even with `DWM_OBS=0`; everything else (latency
-//! histogram, solver metrics) respects the knob. See
-//! `docs/OBSERVABILITY.md` for the full metric catalog.
+//! Each engine owns a private [`obs::Registry`], and every series in it
+//! is declared once, as one row of the engine's metric table (`ROWS`).
+//! A row gives the metric's name, labels and help text, where its value
+//! comes from, which also fixes its type, and the `/stats` keys that
+//! mirror it. A value comes from one of four sources:
+//!
+//! * a counter that the request path bumps;
+//! * a counter that adds up one field of every session ingest's
+//!   [`IngestReport`];
+//! * a wall-clock histogram (request and ingest latency, `/metrics`
+//!   only);
+//! * a scrape-time read of the [`SolveCache`], the [`SessionTable`] or
+//!   the idle lane.
+//!
+//! [`Engine::with_config`] registers the rows, and [`Engine::stats`]
+//! renders `/stats` by walking them and reading the registered series,
+//! so `/stats` and `GET /metrics` are two renderings of the same objects
+//! and agree by construction. `/metrics` additionally renders the
+//! [`obs::global`] registry (solver, simulator, and transport metrics)
+//! in Prometheus text exposition format. The counters use the
+//! gate-bypassing `add_always` path so `/stats` stays correct even with
+//! `DWM_OBS=0`; the histograms and the solver metrics respect the knob.
+//! See `docs/OBSERVABILITY.md` for the full metric catalog.
 
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
@@ -82,7 +94,7 @@ use std::time::{Duration, Instant};
 use dwm_core::algorithms::standard_suite;
 use dwm_core::anytime::{self, AnytimeSolver, Quality, Tier, TierPlan};
 use dwm_core::{Placement, PlacementAlgorithm, TopologyCost};
-use dwm_device::{DeviceConfig, PortLayout, Topology, TopologyKind, TrackTopology};
+use dwm_device::{DeviceConfig, PortLayout, Topology, TrackTopology};
 use dwm_foundation::json::{Number, Object, ToJson, Value};
 use dwm_foundation::net::{Request, Response};
 use dwm_foundation::obs::{self, FnKind};
@@ -96,7 +108,7 @@ use crate::protocol::{
     decode_body, error_body, opt_f64, opt_str, opt_u64, parse_body, parse_session_knobs,
     parse_tier_knobs, parse_topology, parse_usize_array, ProtocolError, TierKnobs,
 };
-use crate::session::{SessionConfig, SessionState, SessionTable};
+use crate::session::{IngestReport, SessionConfig, SessionState, SessionTable};
 
 /// Algorithm name under which tiered (quality/deadline-addressed)
 /// solves are cached. Tier-independent on purpose: the background
@@ -140,35 +152,227 @@ impl Default for EngineConfig {
 }
 
 /// Shared request-handling state: the solve cache, the session table,
-/// the engine's metric registry, and handles to its counters.
+/// the idle lane, and the engine's metric registry.
 pub struct Engine {
-    cache: Arc<SolveCache<Arc<str>>>,
-    sessions: Arc<SessionTable>,
+    stores: Arc<Stores>,
     registry: Arc<obs::Registry>,
-    /// Idle-priority lane running background tier-2 upgrades; `None`
-    /// when upgrades are disabled.
-    lane: Option<Arc<par::IdleLane>>,
     /// Keys with an upgrade queued or running, so one workload never
     /// occupies more than one lane slot.
     inflight_upgrades: Arc<Mutex<HashSet<CacheKey>>>,
-    requests: Arc<obs::Counter>,
-    solves: Arc<obs::Counter>,
-    evaluates: Arc<obs::Counter>,
-    simulates: Arc<obs::Counter>,
-    session_creates: Arc<obs::Counter>,
-    session_ingests: Arc<obs::Counter>,
-    session_reads: Arc<obs::Counter>,
-    session_closes: Arc<obs::Counter>,
-    errors: Arc<obs::Counter>,
-    tier_solves: [Arc<obs::Counter>; 4],
-    topology_solves: [Arc<obs::Counter>; 4],
-    upgrades_enqueued: Arc<obs::Counter>,
-    deadline_met: Arc<obs::Counter>,
-    deadline_missed: Arc<obs::Counter>,
-    deadline_infeasible: Arc<obs::Counter>,
-    latency_ns: Arc<obs::Histogram>,
-    ingest_latency_ns: Arc<obs::Histogram>,
+    /// The series each [`ROWS`] entry registered, in table order.
+    series: Vec<obs::Metric>,
+    /// The request path's counters, by [`Count`].
+    counts: Vec<Arc<obs::Counter>>,
+    /// The request path's histograms, by [`Latency`].
+    latencies: Vec<Arc<obs::Histogram>>,
 }
+
+/// What the table's scrape-time rows read.
+struct Stores {
+    cache: Arc<SolveCache<Arc<str>>>,
+    sessions: SessionTable,
+    /// Idle-priority lane running background tier-2 upgrades; `None`
+    /// when upgrades are disabled.
+    lane: Option<par::IdleLane>,
+}
+
+/// One series of the engine's registry, declared once: its metric, where
+/// its value comes from, and the `/stats` keys that mirror it.
+struct Row {
+    /// Metric family name.
+    name: &'static str,
+    /// The series' labels within its family (none for a
+    /// [`Source::Read`], which registers by name alone).
+    labels: &'static [(&'static str, &'static str)],
+    help: &'static str,
+    /// Where the value comes from; this also fixes the metric's type.
+    source: Source,
+    /// `/stats` keys, `"key"` at the top level or `"section.key"`; empty
+    /// for a `/metrics`-only series.
+    stats: &'static [&'static str],
+}
+
+/// Where a [`Row`]'s value comes from.
+#[derive(Clone, Copy)]
+enum Source {
+    /// An always-on counter that the request path bumps, so `/stats`
+    /// stays correct at `DWM_OBS=0`.
+    Counted(Count),
+    /// An always-on counter that adds up one field of every session
+    /// ingest's report.
+    Ingested(fn(&IngestReport) -> u64),
+    /// A wall-clock histogram, recorded only while `obs` is enabled.
+    Timed(Latency),
+    /// A scrape-time read of the solve cache, the session table or the
+    /// idle lane.
+    Read(FnKind, fn(&Stores) -> u64),
+}
+
+/// The counters the request path bumps. [`ROWS`] lists them in this
+/// order; the tiers and the topologies run in label order.
+#[derive(Clone, Copy)]
+enum Count {
+    Requests,
+    Solves,
+    Evaluates,
+    Simulates,
+    Errors,
+    UpgradesEnqueued,
+    Tier0,
+    Tier1,
+    Tier2,
+    Tier3,
+    Linear,
+    Ring,
+    Grid2d,
+    Pirm,
+    DeadlineMet,
+    DeadlineMissed,
+    DeadlineInfeasible,
+    SessionCreates,
+    SessionIngests,
+    SessionReads,
+    SessionCloses,
+}
+
+/// The histograms the request path records, in [`ROWS`] order.
+#[derive(Clone, Copy)]
+enum Latency {
+    Request,
+    Ingest,
+}
+
+/// The `/stats` sections, in body order, after the top-level keys.
+const SECTIONS: [&str; 6] = [
+    "cache",
+    "tiers",
+    "topologies",
+    "upgrades",
+    "deadline",
+    "sessions",
+];
+
+/// Every series of an engine's registry. `/stats` renders the rows that
+/// name keys, in table order within each section; `/metrics` renders
+/// every row, sorted by name.
+#[rustfmt::skip]
+const ROWS: &[Row] = {
+    use Count as C;
+    use FnKind::{Counter, Gauge};
+    use Source::{Counted, Ingested, Read, Timed};
+    const ENDPOINT: &str = "dwm_serve_endpoint_requests_total";
+    const ENDPOINT_HELP: &str = "Requests dispatched per endpoint";
+    const TIER: &str = "dwm_serve_tier_solves_total";
+    const TIER_HELP: &str = "Foreground tiered solves per tier (cache misses only)";
+    const TOPOLOGY: &str = "dwm_serve_topology_solves_total";
+    const TOPOLOGY_HELP: &str = "Workloads solved per track topology (hits and misses)";
+    &[
+        Row { name: "dwm_serve_requests_total", labels: &[], stats: &["requests"], source: Counted(C::Requests),
+              help: "Requests handled by this engine (any endpoint, any status)" },
+        Row { name: ENDPOINT, labels: &[("endpoint", "solve")], stats: &["solves"], source: Counted(C::Solves),
+              help: ENDPOINT_HELP },
+        Row { name: ENDPOINT, labels: &[("endpoint", "evaluate")], stats: &["evaluates"], source: Counted(C::Evaluates),
+              help: ENDPOINT_HELP },
+        Row { name: ENDPOINT, labels: &[("endpoint", "simulate")], stats: &["simulates"], source: Counted(C::Simulates),
+              help: ENDPOINT_HELP },
+        Row { name: "dwm_serve_errors_total", labels: &[], stats: &["errors"], source: Counted(C::Errors),
+              help: "Requests answered with an error status" },
+        Row { name: "dwm_serve_cache_hits_total", labels: &[], stats: &["cache.hits"],
+              source: Read(Counter, |s| s.cache.stats().hits), help: "Solve-cache lookups answered from memory" },
+        Row { name: "dwm_serve_cache_misses_total", labels: &[], stats: &["cache.misses"],
+              source: Read(Counter, |s| s.cache.stats().misses), help: "Solve-cache lookups that required a solve" },
+        Row { name: "dwm_serve_cache_entries", labels: &[], stats: &["cache.entries"],
+              source: Read(Gauge, |s| s.cache.stats().entries), help: "Solve-cache entries currently resident" },
+        Row { name: "dwm_serve_cache_bytes", labels: &[], stats: &["cache.bytes"],
+              source: Read(Gauge, |s| s.cache.stats().bytes),
+              help: "Rendered result bytes resident in the solve cache" },
+        Row { name: "dwm_serve_cache_evictions_total", labels: &[], stats: &["cache.evictions"],
+              source: Read(Counter, |s| s.cache.stats().evictions),
+              help: "Solve-cache entries evicted to stay within capacity" },
+        Row { name: "dwm_serve_cache_capacity", labels: &[], stats: &["cache.capacity"],
+              source: Read(Gauge, |s| s.cache.stats().capacity),
+              help: "Solve-cache entry budget (0 disables memoization)" },
+        Row { name: "dwm_serve_upgrades_enqueued_total", labels: &[], stats: &["upgrades.enqueued"],
+              source: Counted(C::UpgradesEnqueued), help: "Background tier-2 upgrades submitted to the idle lane" },
+        Row { name: "dwm_serve_upgrades_applied_total", labels: &[],
+              stats: &["cache.upgrades_applied", "upgrades.applied"],
+              source: Read(Counter, |s| s.cache.stats().upgrades_applied),
+              help: "Background upgrades that strictly improved a cached record" },
+        Row { name: "dwm_serve_upgrades_discarded_total", labels: &[],
+              stats: &["cache.upgrades_discarded", "upgrades.discarded"],
+              source: Read(Counter, |s| s.cache.stats().upgrades_discarded),
+              help: "Background upgrades discarded (not strictly better, or record gone)" },
+        Row { name: "dwm_serve_upgrade_queue_depth", labels: &[], stats: &["upgrades.queue_depth"],
+              source: Read(Gauge, |s| s.lane.as_ref().map_or(0, |lane| lane.pending() as u64)),
+              help: "Background upgrades queued or running on the idle lane" },
+        Row { name: TIER, labels: &[("tier", "0")], stats: &["tiers.tier0"], source: Counted(C::Tier0),
+              help: TIER_HELP },
+        Row { name: TIER, labels: &[("tier", "1")], stats: &["tiers.tier1"], source: Counted(C::Tier1),
+              help: TIER_HELP },
+        Row { name: TIER, labels: &[("tier", "2")], stats: &["tiers.tier2"], source: Counted(C::Tier2),
+              help: TIER_HELP },
+        Row { name: TIER, labels: &[("tier", "3")], stats: &["tiers.tier3"], source: Counted(C::Tier3),
+              help: TIER_HELP },
+        Row { name: TOPOLOGY, labels: &[("topology", "linear")], stats: &["topologies.linear"],
+              source: Counted(C::Linear), help: TOPOLOGY_HELP },
+        Row { name: TOPOLOGY, labels: &[("topology", "ring")], stats: &["topologies.ring"], source: Counted(C::Ring),
+              help: TOPOLOGY_HELP },
+        Row { name: TOPOLOGY, labels: &[("topology", "grid2d")], stats: &["topologies.grid2d"],
+              source: Counted(C::Grid2d), help: TOPOLOGY_HELP },
+        Row { name: TOPOLOGY, labels: &[("topology", "pirm")], stats: &["topologies.pirm"], source: Counted(C::Pirm),
+              help: TOPOLOGY_HELP },
+        Row { name: "dwm_serve_deadline_met_total", labels: &[], stats: &["deadline.met"],
+              source: Counted(C::DeadlineMet), help: "Tiered solves whose wall-clock beat the caller's deadline_us" },
+        Row { name: "dwm_serve_deadline_missed_total", labels: &[], stats: &["deadline.missed"],
+              source: Counted(C::DeadlineMissed),
+              help: "Tiered solves whose wall-clock exceeded the caller's deadline_us" },
+        Row { name: "dwm_serve_deadline_infeasible_total", labels: &[], stats: &["deadline.infeasible"],
+              source: Counted(C::DeadlineInfeasible),
+              help: "Tiered solves rejected with 503 because no admissible tier fits deadline_us" },
+        Row { name: "dwm_serve_sessions_active", labels: &[], stats: &["sessions.active"],
+              source: Read(Gauge, |s| s.sessions.active() as u64), help: "Streaming sessions currently resident" },
+        Row { name: "dwm_serve_sessions_capacity", labels: &[], stats: &["sessions.capacity"],
+              source: Read(Gauge, |s| s.sessions.stats().capacity), help: "Session budget (0 = unlimited)" },
+        Row { name: "dwm_serve_sessions_created_total", labels: &[], stats: &["sessions.created"],
+              source: Read(Counter, |s| s.sessions.stats().created), help: "Sessions ever created" },
+        Row { name: "dwm_serve_sessions_closed_total", labels: &[], stats: &["sessions.closed"],
+              source: Read(Counter, |s| s.sessions.stats().closed), help: "Sessions closed by DELETE" },
+        Row { name: "dwm_serve_sessions_expired_total", labels: &[], stats: &["sessions.expired"],
+              source: Read(Counter, |s| s.sessions.stats().expired), help: "Sessions dropped by TTL expiry" },
+        Row { name: "dwm_serve_sessions_evicted_total", labels: &[], stats: &["sessions.evicted"],
+              source: Read(Counter, |s| s.sessions.stats().evicted), help: "Sessions evicted to stay within capacity" },
+        Row { name: "dwm_serve_session_accesses_total", labels: &[], stats: &["sessions.accesses"],
+              source: Ingested(|r| r.accepted), help: "Accesses ingested across all sessions" },
+        Row { name: "dwm_serve_session_windows_total", labels: &[], stats: &["sessions.windows"],
+              source: Ingested(|r| r.windows_completed), help: "Decision windows completed across all sessions" },
+        Row { name: "dwm_serve_session_phase_changes_total", labels: &[], stats: &["sessions.phase_changes"],
+              source: Ingested(|r| r.phase_changes), help: "Confirmed phase changes across all sessions" },
+        Row { name: "dwm_serve_session_replacements_total", labels: &[], stats: &["sessions.replacements"],
+              source: Ingested(|r| r.replacements), help: "Re-placements adopted across all sessions" },
+        Row { name: "dwm_serve_session_suppressed_total", labels: &[], stats: &["sessions.suppressed"],
+              source: Ingested(|r| r.suppressed), help: "Re-placements suppressed by the migration rule" },
+        Row { name: "dwm_serve_session_refreezes_total", labels: &[], stats: &["sessions.refreezes"],
+              source: Ingested(|r| r.refreezes), help: "Delta-graph refreezes across all sessions" },
+        Row { name: "dwm_serve_session_access_shifts_total", labels: &[], stats: &["sessions.access_shifts"],
+              source: Ingested(|r| r.access_shifts), help: "Shifts served under live session placements" },
+        Row { name: "dwm_serve_session_naive_shifts_total", labels: &[], stats: &["sessions.naive_shifts"],
+              source: Ingested(|r| r.naive_shifts), help: "Shifts the identity baseline would have served" },
+        Row { name: "dwm_serve_session_migration_shifts_total", labels: &[], stats: &["sessions.migration_shifts"],
+              source: Ingested(|r| r.migration_shifts), help: "Migration shifts billed across all sessions" },
+        Row { name: ENDPOINT, labels: &[("endpoint", "session_create")], stats: &[], source: Counted(C::SessionCreates),
+              help: ENDPOINT_HELP },
+        Row { name: ENDPOINT, labels: &[("endpoint", "session_ingest")], stats: &[], source: Counted(C::SessionIngests),
+              help: ENDPOINT_HELP },
+        Row { name: ENDPOINT, labels: &[("endpoint", "session_read")], stats: &[], source: Counted(C::SessionReads),
+              help: ENDPOINT_HELP },
+        Row { name: ENDPOINT, labels: &[("endpoint", "session_close")], stats: &[], source: Counted(C::SessionCloses),
+              help: ENDPOINT_HELP },
+        Row { name: "dwm_serve_request_latency_ns", labels: &[], stats: &[], source: Timed(Latency::Request),
+              help: "Wall-clock nanoseconds per request, measured inside the engine" },
+        Row { name: "dwm_serve_session_ingest_latency_ns", labels: &[], stats: &[], source: Timed(Latency::Ingest),
+              help: "Wall-clock nanoseconds per session ingest, measured inside the engine" },
+    ]
+};
 
 impl Engine {
     /// Creates an engine whose solve cache holds about
@@ -181,7 +385,8 @@ impl Engine {
         })
     }
 
-    /// Creates an engine with explicit capacity and lifetime knobs.
+    /// Creates an engine with explicit capacity and lifetime knobs, and
+    /// registers every row of the engine's metric table in its registry.
     pub fn with_config(config: EngineConfig) -> Self {
         // Solver/simulator/graph/pool metrics live in the global
         // registry; touching them here means a scrape on a fresh daemon
@@ -191,266 +396,60 @@ impl Engine {
         dwm_sim::register_obs_metrics();
         par::register_obs_metrics();
 
-        let cache = Arc::new(SolveCache::new(config.cache_capacity));
-        let sessions = Arc::new(SessionTable::new(
-            config.session_capacity,
-            config.session_ttl,
-        ));
+        let stores = Arc::new(Stores {
+            cache: Arc::new(SolveCache::new(config.cache_capacity)),
+            sessions: SessionTable::new(config.session_capacity, config.session_ttl),
+            lane: config.upgrades.then(par::IdleLane::new),
+        });
         let registry = Arc::new(match config.shard {
             Some(shard) => obs::Registry::with_labels(&[("shard", &shard.to_string())]),
             None => obs::Registry::new(),
         });
-        let endpoint = |ep: &str| {
-            registry.counter_with(
-                "dwm_serve_endpoint_requests_total",
-                &[("endpoint", ep)],
-                "Requests dispatched per endpoint",
-            )
-        };
-        let lane = config.upgrades.then(|| Arc::new(par::IdleLane::new()));
-        let tier_counter = |tier: &str| {
-            registry.counter_with(
-                "dwm_serve_tier_solves_total",
-                &[("tier", tier)],
-                "Foreground tiered solves per tier (cache misses only)",
-            )
-        };
-        let topology_counter = |kind: TopologyKind| {
-            registry.counter_with(
-                "dwm_serve_topology_solves_total",
-                &[("topology", kind.label())],
-                "Workloads solved per track topology (hits and misses)",
-            )
-        };
-        let engine = Engine {
-            requests: registry.counter(
-                "dwm_serve_requests_total",
-                "Requests handled by this engine (any endpoint, any status)",
-            ),
-            solves: endpoint("solve"),
-            evaluates: endpoint("evaluate"),
-            simulates: endpoint("simulate"),
-            session_creates: endpoint("session_create"),
-            session_ingests: endpoint("session_ingest"),
-            session_reads: endpoint("session_read"),
-            session_closes: endpoint("session_close"),
-            errors: registry.counter(
-                "dwm_serve_errors_total",
-                "Requests answered with an error status",
-            ),
-            tier_solves: [
-                tier_counter("0"),
-                tier_counter("1"),
-                tier_counter("2"),
-                tier_counter("3"),
-            ],
-            // Indexed by `TopologyKind::index()` (stable label order).
-            topology_solves: TopologyKind::ALL.map(topology_counter),
-            upgrades_enqueued: registry.counter(
-                "dwm_serve_upgrades_enqueued_total",
-                "Background tier-2 upgrades submitted to the idle lane",
-            ),
-            deadline_met: registry.counter(
-                "dwm_serve_deadline_met_total",
-                "Tiered solves whose wall-clock beat the caller's deadline_us",
-            ),
-            deadline_missed: registry.counter(
-                "dwm_serve_deadline_missed_total",
-                "Tiered solves whose wall-clock exceeded the caller's deadline_us",
-            ),
-            deadline_infeasible: registry.counter(
-                "dwm_serve_deadline_infeasible_total",
-                "Tiered solves rejected with 503 because no admissible tier fits deadline_us",
-            ),
-            latency_ns: registry.histogram(
-                "dwm_serve_request_latency_ns",
-                "Wall-clock nanoseconds per request, measured inside the engine",
-            ),
-            ingest_latency_ns: registry.histogram(
-                "dwm_serve_session_ingest_latency_ns",
-                "Wall-clock nanoseconds per session ingest, measured inside the engine",
-            ),
-            cache: Arc::clone(&cache),
-            sessions: Arc::clone(&sessions),
-            registry: Arc::clone(&registry),
-            lane,
+        let (mut counts, mut latencies) = (Vec::new(), Vec::new());
+        let series = ROWS
+            .iter()
+            .map(|row| match row.source {
+                Source::Counted(count) => {
+                    assert_eq!(count as usize, counts.len(), "{} is out of order", row.name);
+                    let counter = registry.counter_with(row.name, row.labels, row.help);
+                    counts.push(Arc::clone(&counter));
+                    obs::Metric::Counter(counter)
+                }
+                Source::Ingested(_) => {
+                    obs::Metric::Counter(registry.counter_with(row.name, row.labels, row.help))
+                }
+                Source::Timed(latency) => {
+                    assert_eq!(latency as usize, latencies.len(), "{}", row.name);
+                    let histogram = registry.histogram_with(row.name, row.labels, row.help);
+                    latencies.push(Arc::clone(&histogram));
+                    obs::Metric::Histogram(histogram)
+                }
+                Source::Read(kind, read) => {
+                    let stores = Arc::clone(&stores);
+                    obs::Metric::Fn(
+                        registry.register_fn(row.name, row.help, kind, move || read(&stores)),
+                    )
+                }
+            })
+            .collect();
+        Engine {
+            stores,
+            registry,
             inflight_upgrades: Arc::new(Mutex::new(HashSet::new())),
-        };
-        // Cache metrics are scrape-time callbacks over the cache's own
-        // counters — /stats and /metrics read the same atomics.
-        let cache_fn = |name: &str, help: &str, kind, read: fn(&SolveCache<Arc<str>>) -> u64| {
-            let cache = Arc::clone(&cache);
-            engine
-                .registry
-                .register_fn(name, help, kind, move || read(&cache));
-        };
-        cache_fn(
-            "dwm_serve_cache_hits_total",
-            "Solve-cache lookups answered from memory",
-            FnKind::Counter,
-            |c| c.stats().hits,
-        );
-        cache_fn(
-            "dwm_serve_cache_misses_total",
-            "Solve-cache lookups that required a solve",
-            FnKind::Counter,
-            |c| c.stats().misses,
-        );
-        cache_fn(
-            "dwm_serve_cache_evictions_total",
-            "Solve-cache entries evicted to stay within capacity",
-            FnKind::Counter,
-            |c| c.stats().evictions,
-        );
-        cache_fn(
-            "dwm_serve_cache_entries",
-            "Solve-cache entries currently resident",
-            FnKind::Gauge,
-            |c| c.stats().entries,
-        );
-        cache_fn(
-            "dwm_serve_cache_bytes",
-            "Rendered result bytes resident in the solve cache",
-            FnKind::Gauge,
-            |c| c.stats().bytes,
-        );
-        cache_fn(
-            "dwm_serve_cache_capacity",
-            "Solve-cache entry budget (0 disables memoization)",
-            FnKind::Gauge,
-            |c| c.stats().capacity,
-        );
-        cache_fn(
-            "dwm_serve_upgrades_applied_total",
-            "Background upgrades that strictly improved a cached record",
-            FnKind::Counter,
-            |c| c.stats().upgrades_applied,
-        );
-        cache_fn(
-            "dwm_serve_upgrades_discarded_total",
-            "Background upgrades discarded (not strictly better, or record gone)",
-            FnKind::Counter,
-            |c| c.stats().upgrades_discarded,
-        );
-        if let Some(lane) = &engine.lane {
-            let lane = Arc::clone(lane);
-            engine.registry.register_fn(
-                "dwm_serve_upgrade_queue_depth",
-                "Background upgrades queued or running on the idle lane",
-                FnKind::Gauge,
-                move || lane.pending() as u64,
-            );
+            series,
+            counts,
+            latencies,
         }
-        // Session metrics follow the same pattern: scrape-time
-        // callbacks over the table's own atomics, so /stats and
-        // /metrics can never disagree.
-        let session_fn = |name: &str, help: &str, kind, read: fn(&SessionTable) -> u64| {
-            let sessions = Arc::clone(&sessions);
-            engine
-                .registry
-                .register_fn(name, help, kind, move || read(&sessions));
-        };
-        session_fn(
-            "dwm_serve_sessions_active",
-            "Streaming sessions currently resident",
-            FnKind::Gauge,
-            |s| s.active() as u64,
-        );
-        session_fn(
-            "dwm_serve_sessions_capacity",
-            "Session budget (0 = unlimited)",
-            FnKind::Gauge,
-            |s| s.stats().capacity,
-        );
-        session_fn(
-            "dwm_serve_sessions_created_total",
-            "Sessions ever created",
-            FnKind::Counter,
-            |s| s.stats().created,
-        );
-        session_fn(
-            "dwm_serve_sessions_closed_total",
-            "Sessions closed by DELETE",
-            FnKind::Counter,
-            |s| s.stats().closed,
-        );
-        session_fn(
-            "dwm_serve_sessions_expired_total",
-            "Sessions dropped by TTL expiry",
-            FnKind::Counter,
-            |s| s.stats().expired,
-        );
-        session_fn(
-            "dwm_serve_sessions_evicted_total",
-            "Sessions evicted to stay within capacity",
-            FnKind::Counter,
-            |s| s.stats().evicted,
-        );
-        session_fn(
-            "dwm_serve_session_accesses_total",
-            "Accesses ingested across all sessions",
-            FnKind::Counter,
-            |s| s.stats().accesses,
-        );
-        session_fn(
-            "dwm_serve_session_windows_total",
-            "Decision windows completed across all sessions",
-            FnKind::Counter,
-            |s| s.stats().windows,
-        );
-        session_fn(
-            "dwm_serve_session_phase_changes_total",
-            "Confirmed phase changes across all sessions",
-            FnKind::Counter,
-            |s| s.stats().phase_changes,
-        );
-        session_fn(
-            "dwm_serve_session_replacements_total",
-            "Re-placements adopted across all sessions",
-            FnKind::Counter,
-            |s| s.stats().replacements,
-        );
-        session_fn(
-            "dwm_serve_session_suppressed_total",
-            "Re-placements suppressed by the migration rule",
-            FnKind::Counter,
-            |s| s.stats().suppressed,
-        );
-        session_fn(
-            "dwm_serve_session_refreezes_total",
-            "Delta-graph refreezes across all sessions",
-            FnKind::Counter,
-            |s| s.stats().refreezes,
-        );
-        session_fn(
-            "dwm_serve_session_access_shifts_total",
-            "Shifts served under live session placements",
-            FnKind::Counter,
-            |s| s.stats().access_shifts,
-        );
-        session_fn(
-            "dwm_serve_session_naive_shifts_total",
-            "Shifts the identity baseline would have served",
-            FnKind::Counter,
-            |s| s.stats().naive_shifts,
-        );
-        session_fn(
-            "dwm_serve_session_migration_shifts_total",
-            "Migration shifts billed across all sessions",
-            FnKind::Counter,
-            |s| s.stats().migration_shifts,
-        );
-        engine
     }
 
     /// The session table (exposed for stats and load harnesses).
     pub fn sessions(&self) -> &SessionTable {
-        &self.sessions
+        &self.stores.sessions
     }
 
     /// The solve cache (exposed for stats and priming in benches).
     pub fn cache(&self) -> &SolveCache<Arc<str>> {
-        &self.cache
+        &self.stores.cache
     }
 
     /// This engine's private metric registry (request and cache
@@ -466,19 +465,17 @@ impl Engine {
         // the idle upgrade lane defers while any request is in flight,
         // so background tier-2 solves never steal foreground cycles.
         let _fg = par::enter_foreground();
-        // `add_always`: these counters back /stats, which must keep
-        // counting even with DWM_OBS=0.
-        self.requests.inc_always();
+        self.count(Count::Requests);
         let result = self.route(req);
         let response = match result {
             Ok(r) => r,
             Err(e) => {
-                self.errors.inc_always();
+                self.count(Count::Errors);
                 Response::json(e.status, error_body(&e.message))
             }
         };
         let elapsed = started.elapsed();
-        self.latency_ns.record(elapsed.as_nanos() as u64);
+        self.latencies[Latency::Request as usize].record(elapsed.as_nanos() as u64);
         response.with_header(ELAPSED_HEADER, elapsed.as_micros().to_string())
     }
 
@@ -493,15 +490,15 @@ impl Engine {
             ("GET", "/stats") => Ok(Response::json(200, self.stats().to_compact())),
             ("GET", "/metrics") => Ok(self.metrics_response()),
             ("POST", "/solve") => {
-                self.solves.inc_always();
+                self.count(Count::Solves);
                 self.solve(req)
             }
             ("POST", "/evaluate") => {
-                self.evaluates.inc_always();
+                self.count(Count::Evaluates);
                 self.evaluate(req)
             }
             ("POST", "/simulate") => {
-                self.simulates.inc_always();
+                self.count(Count::Simulates);
                 self.simulate(req)
             }
             (_, "/health" | "/stats" | "/metrics" | "/solve" | "/evaluate" | "/simulate") => {
@@ -524,81 +521,45 @@ impl Engine {
         Response::json(200, Value::Obj(obj).to_compact())
     }
 
-    /// The engine's `/stats` object: request, cache, tier, topology,
-    /// upgrade, deadline and session counters. Reading it is not a
-    /// request, so the cluster front builds its per-shard objects from
-    /// it without moving any shard's counters.
+    /// Bumps one of the request path's counters.
+    fn count(&self, count: Count) {
+        self.counts[count as usize].inc_always();
+    }
+
+    /// The engine's `/stats` object, rendered by walking the engine's
+    /// metric table: the top-level keys, then the `cache`, `tiers`,
+    /// `topologies`, `upgrades`, `deadline` and `sessions` sections,
+    /// every value read from the series that `/metrics` renders. Reading
+    /// it is not a request, so the cluster front builds its per-shard
+    /// objects from it without moving any shard's counters.
     pub fn stats(&self) -> Value {
-        let cache = self.cache.stats();
-        let mut c = Object::new();
-        c.insert("hits", Value::Num(Number::U(cache.hits)));
-        c.insert("misses", Value::Num(Number::U(cache.misses)));
-        c.insert("entries", Value::Num(Number::U(cache.entries)));
-        c.insert("bytes", Value::Num(Number::U(cache.bytes)));
-        c.insert("evictions", Value::Num(Number::U(cache.evictions)));
-        c.insert("capacity", Value::Num(Number::U(cache.capacity)));
-        c.insert(
-            "upgrades_applied",
-            Value::Num(Number::U(cache.upgrades_applied)),
-        );
-        c.insert(
-            "upgrades_discarded",
-            Value::Num(Number::U(cache.upgrades_discarded)),
-        );
-        let t = self.sessions.stats();
-        let mut s = Object::new();
-        s.insert("active", Value::Num(Number::U(t.active)));
-        s.insert("capacity", Value::Num(Number::U(t.capacity)));
-        s.insert("created", Value::Num(Number::U(t.created)));
-        s.insert("closed", Value::Num(Number::U(t.closed)));
-        s.insert("expired", Value::Num(Number::U(t.expired)));
-        s.insert("evicted", Value::Num(Number::U(t.evicted)));
-        s.insert("accesses", Value::Num(Number::U(t.accesses)));
-        s.insert("windows", Value::Num(Number::U(t.windows)));
-        s.insert("phase_changes", Value::Num(Number::U(t.phase_changes)));
-        s.insert("replacements", Value::Num(Number::U(t.replacements)));
-        s.insert("suppressed", Value::Num(Number::U(t.suppressed)));
-        s.insert("refreezes", Value::Num(Number::U(t.refreezes)));
-        s.insert("access_shifts", Value::Num(Number::U(t.access_shifts)));
-        s.insert("naive_shifts", Value::Num(Number::U(t.naive_shifts)));
-        s.insert(
-            "migration_shifts",
-            Value::Num(Number::U(t.migration_shifts)),
-        );
-        let mut obj = Object::new();
-        let count = |c: &obs::Counter| Value::Num(Number::U(c.value()));
-        obj.insert("requests", count(&self.requests));
-        obj.insert("solves", count(&self.solves));
-        obj.insert("evaluates", count(&self.evaluates));
-        obj.insert("simulates", count(&self.simulates));
-        obj.insert("errors", count(&self.errors));
-        obj.insert("cache", Value::Obj(c));
-        let mut tiers = Object::new();
-        for (i, counter) in self.tier_solves.iter().enumerate() {
-            tiers.insert(format!("tier{i}"), count(counter));
+        let mut top = Object::new();
+        let mut sections = SECTIONS.map(|name| (name, Object::new()));
+        for (row, series) in ROWS.iter().zip(&self.series) {
+            let value = match series {
+                obs::Metric::Counter(counter) => counter.value(),
+                obs::Metric::Fn(read) => read.value(),
+                // The histograms have no `/stats` keys.
+                _ => continue,
+            };
+            for path in row.stats {
+                let value = Value::Num(Number::U(value));
+                match path.split_once('.') {
+                    None => top.insert(*path, value),
+                    Some((section, key)) => {
+                        let (_, obj) = sections
+                            .iter_mut()
+                            .find(|(name, _)| *name == section)
+                            .expect("every /stats section is listed");
+                        obj.insert(key, value);
+                    }
+                }
+            }
         }
-        obj.insert("tiers", Value::Obj(tiers));
-        let mut topo = Object::new();
-        for (kind, counter) in TopologyKind::ALL.iter().zip(&self.topology_solves) {
-            topo.insert(kind.label(), count(counter));
+        for (name, obj) in sections {
+            top.insert(name, Value::Obj(obj));
         }
-        obj.insert("topologies", Value::Obj(topo));
-        let mut u = Object::new();
-        u.insert("enqueued", count(&self.upgrades_enqueued));
-        u.insert("applied", Value::Num(Number::U(cache.upgrades_applied)));
-        u.insert("discarded", Value::Num(Number::U(cache.upgrades_discarded)));
-        u.insert(
-            "queue_depth",
-            Value::Num(Number::U(self.upgrade_queue_depth() as u64)),
-        );
-        obj.insert("upgrades", Value::Obj(u));
-        let mut d = Object::new();
-        d.insert("met", count(&self.deadline_met));
-        d.insert("missed", count(&self.deadline_missed));
-        d.insert("infeasible", count(&self.deadline_infeasible));
-        obj.insert("deadline", Value::Obj(d));
-        obj.insert("sessions", Value::Obj(s));
-        Value::Obj(obj)
+        Value::Obj(top)
     }
 
     fn metrics_response(&self) -> Response {
@@ -672,8 +633,8 @@ impl Engine {
         let mut resident = Vec::with_capacity(admitted.len());
         let mut misses = Vec::new();
         for workload @ (key, _, method) in &admitted {
-            self.topology_solves[topology.kind().index()].inc_always();
-            let record = self.cache.get(key).filter(|r| method.accepts(r.tier));
+            self.counts[Count::Linear as usize + topology.kind().index()].inc_always();
+            let record = self.cache().get(key).filter(|r| method.accepts(r.tier));
             if record.is_none() {
                 misses.push(workload);
             }
@@ -696,9 +657,9 @@ impl Engine {
                 None => {
                     let record = solved.next().expect("one solve per miss");
                     if let Method::Tiered(_) = method {
-                        self.tier_solves[usize::from(record.tier)].inc_always();
+                        self.counts[Count::Tier0 as usize + usize::from(record.tier)].inc_always();
                     }
-                    self.cache.insert(key.clone(), record.clone());
+                    self.cache().insert(key.clone(), record.clone());
                     ("miss", record)
                 }
             };
@@ -709,9 +670,9 @@ impl Engine {
         let response = solve_response(labels, results);
         if let Some(deadline) = knobs.and_then(|knobs| knobs.deadline_us) {
             if started.elapsed().as_micros() as u64 <= deadline {
-                self.deadline_met.inc_always();
+                self.count(Count::DeadlineMet);
             } else {
-                self.deadline_missed.inc_always();
+                self.count(Count::DeadlineMissed);
             }
         }
         Ok(response)
@@ -738,7 +699,7 @@ impl Engine {
         let plan = anytime::plan(knobs.quality, knobs.deadline_us, n, m);
         let need = anytime::estimate_us(plan.tier, n, m);
         if let Some(deadline) = knobs.deadline_us.filter(|&d| need > d) {
-            self.deadline_infeasible.inc_always();
+            self.count(Count::DeadlineInfeasible);
             return Err(ProtocolError {
                 status: 503,
                 message: format!(
@@ -763,7 +724,9 @@ impl Engine {
         if !wanted || tier >= Tier::Thorough.index() {
             return;
         }
-        let Some(lane) = &self.lane else { return };
+        let Some(lane) = &self.stores.lane else {
+            return;
+        };
         {
             let mut inflight = self
                 .inflight_upgrades
@@ -773,10 +736,10 @@ impl Engine {
                 return;
             }
         }
-        self.upgrades_enqueued.inc_always();
-        let cache = Arc::clone(&self.cache);
+        self.count(Count::UpgradesEnqueued);
+        let cache = Arc::clone(&self.stores.cache);
         let inflight = Arc::clone(&self.inflight_upgrades);
-        let weight = self.cache.hit_count(&key);
+        let weight = cache.hit_count(&key);
         lane.submit_weighted(weight, move || {
             let record = solve_digest(&digest, &key, &topology, Method::THOROUGH);
             cache.upgrade(&key, record.value, record.cost, record.tier, record.solver);
@@ -788,7 +751,7 @@ impl Engine {
     /// orderly shutdown). Returns `false` on timeout; trivially `true`
     /// when upgrades are disabled.
     pub fn drain_upgrades(&self, timeout: Duration) -> bool {
-        match &self.lane {
+        match &self.stores.lane {
             Some(lane) => lane.wait_idle(timeout),
             None => true,
         }
@@ -796,7 +759,7 @@ impl Engine {
 
     /// Background upgrades queued or running right now.
     pub fn upgrade_queue_depth(&self) -> usize {
-        self.lane.as_ref().map_or(0, |l| l.pending())
+        self.stores.lane.as_ref().map_or(0, |l| l.pending())
     }
 
     fn evaluate(&self, req: &Request) -> Result<Response, ProtocolError> {
@@ -876,7 +839,7 @@ impl Engine {
         if rest.is_empty() {
             return match req.method.as_str() {
                 "POST" => {
-                    self.session_creates.inc_always();
+                    self.count(Count::SessionCreates);
                     self.session_create(req)
                 }
                 other => Err(ProtocolError {
@@ -893,19 +856,19 @@ impl Engine {
         let id = parse_session_id(id_text)?;
         match (req.method.as_str(), tail) {
             ("DELETE", None) => {
-                self.session_closes.inc_always();
+                self.count(Count::SessionCloses);
                 self.session_close(id)
             }
             ("POST", Some("accesses")) => {
-                self.session_ingests.inc_always();
+                self.count(Count::SessionIngests);
                 self.session_ingest(id, req)
             }
             ("GET", Some("placement")) => {
-                self.session_reads.inc_always();
+                self.count(Count::SessionReads);
                 self.session_placement(id)
             }
             ("GET", Some("stats")) => {
-                self.session_reads.inc_always();
+                self.count(Count::SessionReads);
                 self.session_stats(id)
             }
             (method, None | Some("accesses" | "placement" | "stats")) => Err(ProtocolError {
@@ -922,7 +885,7 @@ impl Engine {
     /// Looks up a live session or answers 404 — the uniform response
     /// for unknown, closed, evicted, and expired ids.
     fn session(&self, id: u64) -> Result<Arc<Mutex<SessionState>>, ProtocolError> {
-        self.sessions.get(id).ok_or_else(|| ProtocolError {
+        self.sessions().get(id).ok_or_else(|| ProtocolError {
             status: 404,
             message: format!("unknown or expired session s-{id}"),
         })
@@ -957,7 +920,7 @@ impl Engine {
             }
         };
         config.validate().map_err(ProtocolError::bad_request)?;
-        let id = self.sessions.create(config);
+        let id = self.sessions().create(config);
         let mut body = Object::new();
         body.insert("session", Value::Str(format!("s-{id}")));
         body.insert("window", Value::Num(Number::U(config.window as u64)));
@@ -1013,9 +976,12 @@ impl Engine {
                 state.placement_version(),
             )
         };
-        self.ingest_latency_ns
-            .record(started.elapsed().as_nanos() as u64);
-        self.sessions.record(&report);
+        self.latencies[Latency::Ingest as usize].record(started.elapsed().as_nanos() as u64);
+        for (row, series) in ROWS.iter().zip(&self.series) {
+            if let (Source::Ingested(field), obs::Metric::Counter(counter)) = (row.source, series) {
+                counter.add_always(field(&report));
+            }
+        }
         let mut body = Object::new();
         body.insert("session", Value::Str(format!("s-{id}")));
         body.insert("accepted", Value::Num(Number::U(report.accepted)));
@@ -1104,7 +1070,7 @@ impl Engine {
     }
 
     fn session_close(&self, id: u64) -> Result<Response, ProtocolError> {
-        let state = self.sessions.remove(id).ok_or_else(|| ProtocolError {
+        let state = self.sessions().remove(id).ok_or_else(|| ProtocolError {
             status: 404,
             message: format!("unknown or expired session s-{id}"),
         })?;
@@ -1309,6 +1275,7 @@ fn solve_response(labels: Vec<Value>, results: Vec<Arc<str>>) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dwm_device::TopologyKind;
     use dwm_foundation::json::parse;
     use dwm_foundation::{require, require_eq, Checker, Rng};
     use std::panic::AssertUnwindSafe;
@@ -1910,6 +1877,17 @@ mod tests {
         assert_eq!(l2.get("status").unwrap().as_str(), Some("hit"));
         assert_eq!(label_field(&l2, "tier"), 0);
         assert_eq!(label_field(&l2, "version"), 1);
+        // Without a lane the queue-depth series still exists, at 0 on
+        // both surfaces.
+        let s = body_obj(&e.handle(&Request::new("GET", "/stats")));
+        let upgrades = s.get("upgrades").unwrap().as_object().unwrap();
+        assert_eq!(label_field(upgrades, "queue_depth"), 0);
+        let m = e.handle(&Request::new("GET", "/metrics"));
+        assert!(m
+            .body_str()
+            .unwrap()
+            .lines()
+            .any(|line| line == "dwm_serve_upgrade_queue_depth 0"));
     }
 
     #[test]
@@ -1949,6 +1927,229 @@ mod tests {
         ] {
             assert!(text.contains(family), "missing {family} in /metrics");
         }
+    }
+
+    /// One step of a random `/session` sequence. Sessions are named by
+    /// their index in the sequence; a refused create leaves an id no
+    /// session has.
+    #[derive(Debug)]
+    enum SessionOp {
+        Create(usize, String),
+        Ingest(usize, Vec<u32>),
+        Read(usize, &'static str),
+        Close(usize),
+        /// A request outside the session's own life: an unknown or
+        /// malformed id, or a method the path does not allow.
+        Stray(&'static str, &'static str),
+    }
+
+    /// A random `/session` create body: the two migration-rule knobs at
+    /// 0, 1, 2⁶³, `u64::MAX`, a valid or a malformed value, beside the
+    /// other knobs, valid or not.
+    fn random_session_body(rng: &mut Rng) -> String {
+        if rng.gen_bool(0.05) {
+            return "{nope".into();
+        }
+        let cost = |rng: &mut Rng| match rng.gen_range(0..16u32) {
+            0 | 1 => "0".to_owned(),
+            2 | 3 => "1".to_owned(),
+            4 | 5 => (1u64 << 63).to_string(),
+            6 | 7 => u64::MAX.to_string(),
+            8 => "-1".to_owned(),
+            9 => r#""lots""#.to_owned(),
+            _ => rng.gen_range(2..100u64).to_string(),
+        };
+        let window = match rng.gen_range(0..20u32) {
+            0 => "0".to_owned(),
+            1 => "2.5".to_owned(),
+            _ => rng.gen_range(16..64u64).to_string(),
+        };
+        let mut fields = vec![
+            format!(r#""window":{window}"#),
+            format!(r#""migration_shifts_per_item":{}"#, cost(rng)),
+            format!(r#""horizon_windows":{}"#, cost(rng)),
+        ];
+        let optional: [(&str, &[&str]); 5] = [
+            ("hysteresis", &["0", "0.5", "2", "3", "-1"]),
+            ("confirm_windows", &["1", "2", "3", "0"]),
+            ("refreeze_edges", &["0", "1", "64"]),
+            ("quality", &[r#""fast""#, r#""balanced""#]),
+            ("topology", &[r#""ring""#, r#""grid2d:4x16""#]),
+        ];
+        for (name, values) in optional {
+            if rng.gen_bool(0.3) {
+                fields.push(format!(r#""{name}":{}"#, rng.choose(values).unwrap()));
+            }
+        }
+        rng.shuffle(&mut fields);
+        format!("{{{}}}", fields.join(","))
+    }
+
+    /// A two-phase stream over 2-16 items, ids 0 and `u32::MAX`
+    /// among them: a sweep, then a ping-pong between two of the items.
+    fn random_phased_stream(rng: &mut Rng) -> Vec<u32> {
+        let items = rng.gen_range(2..17usize);
+        let mut pool: Vec<u32> = (0..items)
+            .map(|k| match k {
+                0 => 0,
+                1 => u32::MAX,
+                _ => rng.next_u32(),
+            })
+            .collect();
+        rng.shuffle(&mut pool);
+        let (a, b) = (pool[0], pool[items - 1]);
+        let sweep = rng.gen_range(16..160usize);
+        let ping = rng.gen_range(16..160usize);
+        (0..sweep)
+            .map(|i| pool[i % items])
+            .chain((0..ping).map(|i| [a, b][i % 2]))
+            .collect()
+    }
+
+    /// A random sequence over 1-3 sessions: each is created, fed its
+    /// stream in 1-3 chunks with reads between, and maybe closed; the
+    /// sessions' steps interleave, and stray requests fall between.
+    fn random_session_ops(rng: &mut Rng) -> Vec<SessionOp> {
+        let mut lanes: Vec<Vec<SessionOp>> = (0..rng.gen_range(1..4usize))
+            .map(|s| {
+                let mut ops = vec![SessionOp::Create(s, random_session_body(rng))];
+                let stream = random_phased_stream(rng);
+                let mut cuts: Vec<usize> = (0..rng.gen_range(0..3))
+                    .map(|_| rng.gen_range(0..stream.len()))
+                    .collect();
+                cuts.extend([0, stream.len()]);
+                cuts.sort_unstable();
+                for pair in cuts.windows(2).filter(|pair| pair[0] < pair[1]) {
+                    ops.push(SessionOp::Ingest(s, stream[pair[0]..pair[1]].to_vec()));
+                    if rng.gen_bool(0.5) {
+                        ops.push(SessionOp::Read(
+                            s,
+                            rng.choose(&["stats", "placement"]).unwrap(),
+                        ));
+                    }
+                }
+                if rng.gen_bool(0.25) {
+                    ops.push(SessionOp::Close(s));
+                }
+                ops
+            })
+            .collect();
+        let mut ops = Vec::new();
+        while lanes.iter().any(|lane| !lane.is_empty()) {
+            if rng.gen_bool(0.15) {
+                let strays = [
+                    ("GET", "/session/s-999999/stats"),
+                    ("POST", "/session/s-999999/accesses"),
+                    ("DELETE", "/session/s-999999"),
+                    ("GET", "/session/x-1/stats"),
+                    ("PUT", "/session/s-1/stats"),
+                    ("GET", "/session"),
+                    ("GET", "/session/s-1/nope"),
+                ];
+                let (method, path) = *rng.choose(&strays).unwrap();
+                ops.push(SessionOp::Stray(method, path));
+            }
+            let live: Vec<usize> = (0..lanes.len()).filter(|&i| !lanes[i].is_empty()).collect();
+            let lane = &mut lanes[*rng.choose(&live).unwrap()];
+            ops.push(lane.remove(0));
+        }
+        ops
+    }
+
+    /// The `session` id a create answered, if it made one.
+    fn created_id(resp: &Response) -> Option<String> {
+        (resp.status == 200).then(|| {
+            let body = body_obj(resp);
+            body.get("session").unwrap().as_str().unwrap().to_owned()
+        })
+    }
+
+    fn ids_body(ids: &[u32]) -> String {
+        let ids: Vec<String> = ids.iter().map(u32::to_string).collect();
+        format!(r#"{{"ids":[{}]}}"#, ids.join(","))
+    }
+
+    #[test]
+    fn random_session_sequences_keep_the_protocol_contract() {
+        Checker::new("random_session_sequences_keep_the_protocol_contract").run(
+            random_session_ops,
+            |ops| {
+                let e = engine();
+                let send = |req: Request| -> Result<Response, String> {
+                    let what = format!("{} {}", req.method, req.path);
+                    let resp = std::panic::catch_unwind(AssertUnwindSafe(|| e.handle(&req)))
+                        .map_err(|_| format!("{what} panicked"))?;
+                    require!(
+                        matches!(resp.status, 200 | 400 | 404 | 405),
+                        "{what} answered {}: {:?}",
+                        resp.status,
+                        resp.body_str()
+                    );
+                    Ok(resp)
+                };
+                // Per session: its create body, its id, the stream it
+                // took in, and whether it is still open.
+                let count = ops
+                    .iter()
+                    .filter(|op| matches!(op, SessionOp::Create(..)))
+                    .count();
+                let mut sessions = vec![(String::new(), None, Vec::new(), false); count];
+                let path = |sessions: &[(String, Option<String>, Vec<u32>, bool)], s: usize| {
+                    let id = sessions[s].1.as_deref().unwrap_or("s-999999");
+                    format!("/session/{id}")
+                };
+                for op in ops {
+                    match op {
+                        SessionOp::Create(s, body) => {
+                            let resp = send(Request::post("/session", body.as_str()))?;
+                            sessions[*s] = (body.clone(), created_id(&resp), Vec::new(), true);
+                        }
+                        SessionOp::Ingest(s, ids) => {
+                            let url = format!("{}/accesses", path(&sessions, *s));
+                            let resp = send(Request::post(&url, ids_body(ids)))?;
+                            if resp.status == 200 {
+                                sessions[*s].2.extend_from_slice(ids);
+                            }
+                        }
+                        SessionOp::Read(s, what) => {
+                            let url = format!("{}/{what}", path(&sessions, *s));
+                            send(Request::new("GET", &url))?;
+                        }
+                        SessionOp::Close(s) => {
+                            send(Request::new("DELETE", &path(&sessions, *s)))?;
+                            sessions[*s].3 = false;
+                        }
+                        SessionOp::Stray(method, url) => {
+                            send(Request::new(method, url))?;
+                        }
+                    }
+                }
+                // A twin fed each open session's stream in one chunk
+                // answers the same stats, up to the session id.
+                for (body, id, stream, open) in &sessions {
+                    let (Some(id), true, false) = (id, open, stream.is_empty()) else {
+                        continue;
+                    };
+                    let twin = created_id(&send(Request::post("/session", body.as_str()))?)
+                        .ok_or_else(|| format!("{body} was refused for the twin"))?;
+                    send(Request::post(
+                        &format!("/session/{twin}/accesses"),
+                        ids_body(stream),
+                    ))?;
+                    let stats = |id: &str| -> Result<String, String> {
+                        let resp = send(Request::new("GET", &format!("/session/{id}/stats")))?;
+                        Ok(resp.body_str().unwrap().to_owned())
+                    };
+                    let quoted = |id: &str| format!(r#""session":"{id}""#);
+                    require_eq!(
+                        stats(&twin)?.replace(&quoted(&twin), &quoted(id)),
+                        stats(id)?,
+                        "{body}: the twin of {id} diverged"
+                    );
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -42,7 +42,10 @@
 //!
 //! `net_amortized_saved = naive − (access + migration)` is the
 //! session's running answer to "was adapting worth it", and what the
-//! F11 session-drift experiment sweeps.
+//! F11 session-drift experiment sweeps. The migration knobs come from
+//! the client, so the bill, the shift totals and `net_amortized_saved`
+//! saturate rather than wrap: a prohibitive cost suppresses every
+//! re-placement.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -204,15 +207,17 @@ pub struct SessionTotals {
 }
 
 impl SessionTotals {
+    /// Adds one report. The shift totals saturate: a migration bill can
+    /// be as large as the client's `migration_shifts_per_item` allows.
     fn absorb(&mut self, r: &IngestReport) {
         self.accesses += r.accepted;
         self.windows += r.windows_completed;
         self.phase_changes += r.phase_changes;
         self.replacements += r.replacements;
         self.suppressed += r.suppressed;
-        self.access_shifts += r.access_shifts;
-        self.naive_shifts += r.naive_shifts;
-        self.migration_shifts += r.migration_shifts;
+        self.access_shifts = self.access_shifts.saturating_add(r.access_shifts);
+        self.naive_shifts = self.naive_shifts.saturating_add(r.naive_shifts);
+        self.migration_shifts = self.migration_shifts.saturating_add(r.migration_shifts);
         self.items_moved += r.items_moved;
     }
 }
@@ -353,10 +358,14 @@ impl SessionState {
     }
 
     /// `naive − (access + migration)` shifts: what adapting has saved
-    /// (negative when migrations have not paid off yet).
+    /// (negative when migrations have not paid off yet), clamped to the
+    /// `i64` range.
     pub fn net_amortized_saved(&self) -> i64 {
-        self.totals.naive_shifts as i64
-            - (self.totals.access_shifts + self.totals.migration_shifts) as i64
+        let t = &self.totals;
+        let net = i128::from(t.naive_shifts)
+            - i128::from(t.access_shifts)
+            - i128::from(t.migration_shifts);
+        net.clamp(i64::MIN.into(), i64::MAX.into()) as i64
     }
 
     /// Ingests one chunk of raw item ids, advancing the graph, the
@@ -449,7 +458,7 @@ impl SessionState {
         };
         if decision.adapt {
             report.replacements += 1;
-            report.migration_shifts += decision.bill;
+            report.migration_shifts = report.migration_shifts.saturating_add(decision.bill);
             report.items_moved += decision.items_moved;
             self.placement = decision.candidate.offsets().to_vec();
             self.placement_version += 1;
@@ -490,8 +499,9 @@ struct Entry {
     last_used: Instant,
 }
 
-/// Aggregate counters of a [`SessionTable`], read by `/stats` and the
-/// `/metrics` scrape-time callbacks — one source of truth for both.
+/// Lifecycle counters of a [`SessionTable`], which the engine's `/stats`
+/// and `/metrics` rows read. What sessions ingest is added up by the
+/// engine, from each [`IngestReport`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionTableStats {
     /// Sessions currently resident (post TTL sweep).
@@ -506,24 +516,6 @@ pub struct SessionTableStats {
     pub expired: u64,
     /// Sessions evicted to stay within capacity.
     pub evicted: u64,
-    /// Accesses ingested across all sessions.
-    pub accesses: u64,
-    /// Decision windows completed across all sessions.
-    pub windows: u64,
-    /// Confirmed phase changes across all sessions.
-    pub phase_changes: u64,
-    /// Re-placements adopted across all sessions.
-    pub replacements: u64,
-    /// Re-placements suppressed across all sessions.
-    pub suppressed: u64,
-    /// Graph refreezes across all sessions.
-    pub refreezes: u64,
-    /// Access shifts served across all sessions.
-    pub access_shifts: u64,
-    /// Identity-baseline shifts across all sessions.
-    pub naive_shifts: u64,
-    /// Migration shifts billed across all sessions.
-    pub migration_shifts: u64,
 }
 
 /// The daemon's session registry: sharded like the
@@ -543,15 +535,6 @@ pub struct SessionTable {
     closed: AtomicU64,
     expired: AtomicU64,
     evicted: AtomicU64,
-    accesses: AtomicU64,
-    windows: AtomicU64,
-    phase_changes: AtomicU64,
-    replacements: AtomicU64,
-    suppressed: AtomicU64,
-    refreezes: AtomicU64,
-    access_shifts: AtomicU64,
-    naive_shifts: AtomicU64,
-    migration_shifts: AtomicU64,
 }
 
 impl SessionTable {
@@ -567,15 +550,6 @@ impl SessionTable {
             closed: AtomicU64::new(0),
             expired: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
-            accesses: AtomicU64::new(0),
-            windows: AtomicU64::new(0),
-            phase_changes: AtomicU64::new(0),
-            replacements: AtomicU64::new(0),
-            suppressed: AtomicU64::new(0),
-            refreezes: AtomicU64::new(0),
-            access_shifts: AtomicU64::new(0),
-            naive_shifts: AtomicU64::new(0),
-            migration_shifts: AtomicU64::new(0),
         }
     }
 
@@ -650,25 +624,6 @@ impl SessionTable {
         Some(entry.state)
     }
 
-    /// Folds one ingest's deltas into the table-level aggregates.
-    pub fn record(&self, r: &IngestReport) {
-        self.accesses.fetch_add(r.accepted, Ordering::Relaxed);
-        self.windows
-            .fetch_add(r.windows_completed, Ordering::Relaxed);
-        self.phase_changes
-            .fetch_add(r.phase_changes, Ordering::Relaxed);
-        self.replacements
-            .fetch_add(r.replacements, Ordering::Relaxed);
-        self.suppressed.fetch_add(r.suppressed, Ordering::Relaxed);
-        self.refreezes.fetch_add(r.refreezes, Ordering::Relaxed);
-        self.access_shifts
-            .fetch_add(r.access_shifts, Ordering::Relaxed);
-        self.naive_shifts
-            .fetch_add(r.naive_shifts, Ordering::Relaxed);
-        self.migration_shifts
-            .fetch_add(r.migration_shifts, Ordering::Relaxed);
-    }
-
     /// Live session count, after sweeping expired entries.
     pub fn active(&self) -> usize {
         let mut total = 0;
@@ -680,7 +635,7 @@ impl SessionTable {
         total
     }
 
-    /// A consistent-enough snapshot of the aggregate counters.
+    /// A consistent-enough snapshot of the lifecycle counters.
     pub fn stats(&self) -> SessionTableStats {
         let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
         SessionTableStats {
@@ -690,15 +645,6 @@ impl SessionTable {
             closed: get(&self.closed),
             expired: get(&self.expired),
             evicted: get(&self.evicted),
-            accesses: get(&self.accesses),
-            windows: get(&self.windows),
-            phase_changes: get(&self.phase_changes),
-            replacements: get(&self.replacements),
-            suppressed: get(&self.suppressed),
-            refreezes: get(&self.refreezes),
-            access_shifts: get(&self.access_shifts),
-            naive_shifts: get(&self.naive_shifts),
-            migration_shifts: get(&self.migration_shifts),
         }
     }
 }
@@ -845,19 +791,6 @@ mod tests {
         assert_eq!(table.stats().closed, 1);
         let c = table.create(SessionConfig::default());
         assert!(c > b);
-    }
-
-    #[test]
-    fn table_aggregates_ingest_reports() {
-        let table = SessionTable::new(0, Duration::ZERO);
-        let id = table.create(small_config());
-        let state = table.get(id).unwrap();
-        let report = state.lock().unwrap().ingest(&phased_ids(500));
-        table.record(&report);
-        let s = table.stats();
-        assert_eq!(s.accesses, 1000);
-        assert_eq!(s.windows, report.windows_completed);
-        assert_eq!(s.access_shifts, report.access_shifts);
     }
 
     #[test]

@@ -102,7 +102,9 @@ pub fn working_set_curve(trace: &Trace, window: usize) -> Vec<usize> {
 
 /// Detects phase boundaries: indices (in accesses) where the item-
 /// frequency distribution of consecutive windows diverges by more than
-/// `threshold` (total-variation distance in `[0, 1]`).
+/// `threshold` (total-variation distance in `[0, 1]`). This is a
+/// [`PhaseDetector`] fed the whole trace, then asked to
+/// [`finish`](PhaseDetector::finish) its trailing partial window.
 ///
 /// # Example
 ///
@@ -117,27 +119,10 @@ pub fn working_set_curve(trace: &Trace, window: usize) -> Vec<usize> {
 /// assert_eq!(phases, vec![100]);
 /// ```
 pub fn detect_phases(trace: &Trace, window: usize, threshold: f64) -> Vec<usize> {
-    assert!(window > 0, "window must be nonzero");
-    let chunks: Vec<&[crate::access::Access]> = trace.accesses().chunks(window).collect();
-    let mut boundaries = Vec::new();
-    for (i, pair) in chunks.windows(2).enumerate() {
-        if total_variation(pair[0], pair[1]) > threshold {
-            boundaries.push((i + 1) * window);
-        }
-    }
+    let mut detector = PhaseDetector::new(window, threshold);
+    let mut boundaries = detector.push_chunk(trace.iter().map(|a| a.item.0));
+    boundaries.extend(detector.finish());
     boundaries
-}
-
-fn window_counts(chunk: &[crate::access::Access]) -> BTreeMap<u32, u64> {
-    let mut m = BTreeMap::new();
-    for acc in chunk {
-        *m.entry(acc.item.0).or_insert(0u64) += 1;
-    }
-    m
-}
-
-fn total_variation(a: &[crate::access::Access], b: &[crate::access::Access]) -> f64 {
-    total_variation_counts(&window_counts(a), a.len(), &window_counts(b), b.len())
 }
 
 /// Total-variation distance between two windows given their item
@@ -183,23 +168,24 @@ fn total_variation_counts(
     0.5 * sum
 }
 
-/// Streaming phase-change detector: the incremental counterpart of
-/// [`detect_phases`], for consumers that see the trace arrive in
-/// arbitrary chunks (the `dwm-serve` session subsystem).
+/// Streaming phase-change detector: the one implementation of the
+/// phase rule, for consumers that see the trace arrive in arbitrary
+/// chunks (the `dwm-serve` session subsystem, [`crate::ProfileBuilder`])
+/// and, over a whole trace, [`detect_phases`].
 ///
 /// Accesses are pushed one at a time; every `window` accesses the
 /// detector compares the completed window's item-frequency distribution
-/// against the previous window's (total-variation distance, same rule
-/// as [`detect_phases`]) and reports a *confirmed* boundary once
-/// `confirm` consecutive comparisons diverge — `confirm = 1` (the
-/// default) makes it equivalent to the offline function, higher values
-/// add hysteresis against one-window blips. [`finish`] mirrors the
-/// offline treatment of the trailing partial window.
+/// against the previous window's (total-variation distance) and reports
+/// a *confirmed* boundary once `confirm` consecutive comparisons
+/// diverge — `confirm = 1` (the default) reports every divergence,
+/// higher values add hysteresis against one-window blips. [`finish`]
+/// compares the trailing partial window too.
 ///
-/// The equivalence is exact and chunking-independent: feeding any
-/// trace through `push` (however it was split) plus one `finish`
-/// yields precisely `detect_phases(trace, window, threshold)` when
-/// `confirm == 1` — pinned by the test suite.
+/// Boundaries do not depend on chunking: feeding any trace through
+/// `push` (however it was split) plus one `finish` yields the
+/// boundaries of comparing its consecutive `window`-access chunks when
+/// `confirm == 1`. The test suite pins this against an offline oracle
+/// that does exactly that.
 ///
 /// [`finish`]: PhaseDetector::finish
 ///
@@ -286,9 +272,9 @@ impl PhaseDetector {
         self.divergences
     }
 
-    /// Feeds one access. Returns the confirmed phase boundary (an
-    /// access index, as in [`detect_phases`]) completed by this access,
-    /// if any.
+    /// Feeds one access. Returns the confirmed phase boundary (the
+    /// access index where the diverging window began) completed by this
+    /// access, if any.
     pub fn push(&mut self, item: u32) -> Option<usize> {
         *self.current.entry(item).or_insert(0) += 1;
         self.current_len += 1;
@@ -307,9 +293,9 @@ impl PhaseDetector {
     }
 
     /// Evaluates the trailing partial window (if any) against the last
-    /// complete one, exactly as [`detect_phases`] compares its final
-    /// short chunk. A pure query: the detector is untouched, so it can
-    /// be consulted at any point of the stream and pushed into again.
+    /// complete one, normalizing each by its own length. A pure query:
+    /// the detector is untouched, so it can be consulted at any point of
+    /// the stream and pushed into again.
     pub fn finish(&self) -> Option<usize> {
         if self.current_len == 0 {
             return None;
@@ -330,7 +316,7 @@ impl PhaseDetector {
                     self.divergences += 1;
                     self.streak += 1;
                     // The boundary sits where the diverging window
-                    // began — matching detect_phases' (i + 1) · window.
+                    // began: (i + 1) · window for window pair (i, i + 1).
                     (self.streak >= self.confirm).then(|| {
                         self.streak = 0;
                         self.accesses - len
@@ -429,6 +415,31 @@ mod tests {
         assert_eq!(p.hit_ratio(8), 0.0);
     }
 
+    /// The offline oracle of the phase rule: compares each pair of
+    /// consecutive `window`-access chunks of the whole trace at once.
+    fn offline_phases(trace: &Trace, window: usize, threshold: f64) -> Vec<usize> {
+        let chunks: Vec<&[crate::access::Access]> = trace.accesses().chunks(window).collect();
+        let mut boundaries = Vec::new();
+        for (i, pair) in chunks.windows(2).enumerate() {
+            if total_variation(pair[0], pair[1]) > threshold {
+                boundaries.push((i + 1) * window);
+            }
+        }
+        boundaries
+    }
+
+    fn window_counts(chunk: &[crate::access::Access]) -> BTreeMap<u32, u64> {
+        let mut m = BTreeMap::new();
+        for acc in chunk {
+            *m.entry(acc.item.0).or_insert(0u64) += 1;
+        }
+        m
+    }
+
+    fn total_variation(a: &[crate::access::Access], b: &[crate::access::Access]) -> f64 {
+        total_variation_counts(&window_counts(a), a.len(), &window_counts(b), b.len())
+    }
+
     /// Streams `trace` through a detector in chunks of `chunk` accesses
     /// and collects every boundary, including the trailing-window check.
     fn stream_boundaries(trace: &Trace, window: usize, threshold: f64, chunk: usize) -> Vec<usize> {
@@ -454,8 +465,9 @@ mod tests {
         ids.extend((0..95).map(|i| 80 + i % 3));
         let trace = Trace::from_ids(ids);
         for window in [50usize, 64, 100] {
-            let offline = detect_phases(&trace, window, 0.5);
+            let offline = offline_phases(&trace, window, 0.5);
             assert!(!offline.is_empty(), "fixture must contain a phase change");
+            assert_eq!(detect_phases(&trace, window, 0.5), offline);
             for chunk in [1usize, 7, 50, 64, 1000] {
                 assert_eq!(
                     stream_boundaries(&trace, window, 0.5, chunk),
@@ -471,7 +483,7 @@ mod tests {
         let trace = churning_markov_trace();
         for window in [32usize, 75] {
             for threshold in [0.3f64, 0.5, 0.8] {
-                let offline = detect_phases(&trace, window, threshold);
+                let offline = offline_phases(&trace, window, threshold);
                 assert_eq!(
                     stream_boundaries(&trace, window, threshold, 13),
                     offline,

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Non-test code lines of every crate: each crates/*/src/**/*.rs up to
-# its first `#[cfg(test)]`, without blank and comment-only (`//`, `///`,
+# Non-test code lines of every crate: each crates/*/src/**/*.rs without
+# its `#[cfg(test)]` items (from the attribute to the item's closing
+# brace, or to its `;`) and without blank and comment-only (`//`, `///`,
 # `//!`) lines. Prints one line per crate, then the total.
 #
 #   bash scripts/loc.sh            # this checkout
@@ -20,9 +21,22 @@ for crate in crates/*/; do
   if [[ -d "$crate/src" ]]; then
     lines="$(find "$crate/src" -name '*.rs' -print0 | sort -z |
       xargs -0 -r awk '
-        FNR == 1 { live = 1 }
-        /^[[:space:]]*#\[cfg\(test\)\]/ { live = 0 }
-        live && !/^[[:space:]]*$/ && !/^[[:space:]]*\/\// { n++ }
+        FNR == 1 { gated = 0 }
+        gated {
+          # Braces outside line comments; a `;` before any `{` ends a
+          # braceless item (`mod tests;`, a `static`).
+          line = $0
+          sub(/\/\/.*/, "", line)
+          opens = gsub(/\{/, "", line)
+          closes = gsub(/\}/, "", line)
+          if (!opened && !opens && line ~ /;/) { gated = 0; next }
+          depth += opens - closes
+          if (opens) opened = 1
+          if (opened && depth <= 0) gated = 0
+          next
+        }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { gated = 1; depth = 0; opened = 0; next }
+        !/^[[:space:]]*$/ && !/^[[:space:]]*\/\// { n++ }
         END { print n + 0 }' |
       awk '{ s += $1 } END { print s + 0 }')"
   fi
