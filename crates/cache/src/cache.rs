@@ -31,14 +31,6 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-dwm_foundation::json_struct!(CacheStats {
-    hits,
-    misses,
-    shifts,
-    promotions,
-    evictions
-});
-
 impl CacheStats {
     /// Total accesses.
     pub fn accesses(&self) -> u64 {
@@ -76,12 +68,6 @@ struct Set {
     /// Way currently under the port.
     position: usize,
 }
-
-dwm_foundation::json_struct!(Set {
-    tags,
-    last_used,
-    position
-});
 
 impl Set {
     fn new(ways: usize) -> Self {
@@ -121,13 +107,6 @@ pub struct DwmCache {
     clock: u64,
     stats: CacheStats,
 }
-
-dwm_foundation::json_struct!(DwmCache {
-    config,
-    sets,
-    clock,
-    stats
-});
 
 impl DwmCache {
     /// An empty cache with the given configuration.

@@ -43,14 +43,6 @@ pub struct CacheConfig {
     pub promotion_swap_shifts: u64,
 }
 
-dwm_foundation::json_struct!(CacheConfig {
-    sets,
-    ways,
-    replacement,
-    promotion,
-    promotion_swap_shifts
-});
-
 impl CacheConfig {
     /// A `sets × ways` cache with plain LRU and no promotion.
     ///

@@ -1,5 +1,3 @@
-use dwm_foundation::json::{field, FromJson, JsonError, Object, ToJson, Value};
-
 /// Victim-selection policy for misses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplacementPolicy {
@@ -27,54 +25,6 @@ pub enum PromotionPolicy {
     /// [`promotion_swap_shifts`](crate::CacheConfig::promotion_swap_shifts)
     /// extra shifts per swap.
     SwapTowardPort,
-}
-
-dwm_foundation::json_unit_enum!(PromotionPolicy {
-    None,
-    SwapTowardPort
-});
-
-// Externally tagged by hand (a data-carrying variant rules out
-// `json_unit_enum!`): `"Lru"` | `{"ShiftAwareLru":{"window":N}}`.
-impl ToJson for ReplacementPolicy {
-    fn to_json(&self) -> Value {
-        match *self {
-            ReplacementPolicy::Lru => Value::Str("Lru".to_owned()),
-            ReplacementPolicy::ShiftAwareLru { window } => {
-                let mut fields = Object::new();
-                fields.insert("window", window.to_json());
-                let mut tagged = Object::new();
-                tagged.insert("ShiftAwareLru", Value::Obj(fields));
-                Value::Obj(tagged)
-            }
-        }
-    }
-}
-
-impl FromJson for ReplacementPolicy {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        if let Some("Lru") = v.as_str() {
-            return Ok(ReplacementPolicy::Lru);
-        }
-        let obj = v
-            .as_object()
-            .filter(|o| o.len() == 1)
-            .ok_or_else(|| JsonError::expected("ReplacementPolicy variant", v))?;
-        match obj.iter().next() {
-            Some(("ShiftAwareLru", body)) => {
-                let fields = body
-                    .as_object()
-                    .ok_or_else(|| JsonError::expected("ShiftAwareLru fields", body))?;
-                Ok(ReplacementPolicy::ShiftAwareLru {
-                    window: field(fields, "window")?,
-                })
-            }
-            Some((tag, _)) => Err(JsonError::decode(format!(
-                "unknown ReplacementPolicy variant {tag:?}"
-            ))),
-            None => unreachable!("len-1 object has an entry"),
-        }
-    }
 }
 
 impl ReplacementPolicy {

@@ -153,7 +153,9 @@ COMMANDS:
   sweep <trace>      compare the full algorithm suite
   eval <trace> <placement.json> [--ports N] [--tape-length L]
        [--topology T]
-                     evaluate a saved placement under a port layout
+                     evaluate a saved placement under a port layout;
+                     the tape must hold every item (L defaults to the
+                     item count) and no two ports may share a position
   device info [--topology T] [--domains N] [--tracks N] [--ports N]
        [--dbcs N]
                      resolved track topology, port layout, and cost
@@ -531,6 +533,7 @@ fn cmd_eval(args: &ParsedArgs) -> CommandResult {
         .map_err(CliError::usage)?;
     let layout = topology.evenly_spaced_ports(ports, tape_length);
     let model = TopologyCost::new(topology, layout, tape_length);
+    model.check_fit(&placement).map_err(CliError::usage)?;
     Ok(format!(
         "{} under {}: {}",
         trace.label(),
@@ -1054,6 +1057,60 @@ mod tests {
         assert_eq!(err.code, CliError::MALFORMED);
         std::fs::remove_file(trace).ok();
         std::fs::remove_file(path).ok();
+    }
+
+    /// Writes the trace `r 0, r 1, r 0, r 2, r 1` and `placement` to
+    /// temp files named after `tag`; returns their paths.
+    fn three_item_case(tag: &str, placement: &str) -> (std::path::PathBuf, std::path::PathBuf) {
+        let dir = std::env::temp_dir();
+        let id = std::process::id();
+        let trace = dir.join(format!("dwmplace_{tag}_{id}.trace"));
+        let json = dir.join(format!("dwmplace_{tag}_{id}.json"));
+        std::fs::write(&trace, "r 0\nr 1\nr 0\nr 2\nr 1\n").unwrap();
+        std::fs::write(&json, placement).unwrap();
+        (trace, json)
+    }
+
+    #[test]
+    fn non_permutation_placement_files_are_malformed_input() {
+        for (tag, placement) in [
+            ("dup", r#"{"offsets":[0,0,0],"items":[0,1,2]}"#),
+            ("range", r#"{"offsets":[0,1,9],"items":[0,1,2]}"#),
+            ("inverse", r#"{"offsets":[1,2,0],"items":[0,1,2]}"#),
+        ] {
+            let (trace, json) = three_item_case(tag, placement);
+            let err = run(&format!("eval {} {}", trace.display(), json.display())).unwrap_err();
+            assert_eq!(err.code, CliError::MALFORMED, "{placement}: {err}");
+            std::fs::remove_file(trace).ok();
+            std::fs::remove_file(json).ok();
+        }
+    }
+
+    #[test]
+    fn eval_refuses_layouts_that_do_not_fit_the_tape() {
+        let (trace, json) = three_item_case("fit", r#"{"offsets":[0,1,2],"items":[0,1,2]}"#);
+        let eval = |flags: &str| {
+            run(&format!(
+                "eval {} {} {flags}",
+                trace.display(),
+                json.display()
+            ))
+        };
+        for flags in [
+            "--tape-length 2",
+            "--tape-length 2 --topology grid2d:1x2",
+            "--ports 5 --tape-length 3",
+            "--ports 3 --topology grid2d:4x2",
+        ] {
+            let err = eval(flags).unwrap_err();
+            assert_eq!(err.code, CliError::USAGE, "{flags}: {err}");
+        }
+        // The same placement on a tape it fits is costed as before.
+        assert!(eval("--tape-length 3")
+            .unwrap()
+            .ends_with(": 5 shifts over 5 accesses (mean 1.00, max 2, 1 aligned)"));
+        std::fs::remove_file(trace).ok();
+        std::fs::remove_file(json).ok();
     }
 
     #[test]

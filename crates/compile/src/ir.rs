@@ -1,19 +1,13 @@
 //! The program representation: arrays, loop variables, affine index
 //! expressions, and a builder for loop nests.
 
-use dwm_foundation::json::{field, FromJson, JsonError, Object, ToJson, Value};
-
 /// Identifier of a declared array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ArrayId(pub usize);
 
-dwm_foundation::json_newtype!(ArrayId);
-
 /// Identifier of a loop variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LoopVar(pub usize);
-
-dwm_foundation::json_newtype!(LoopVar);
 
 /// An affine (plus modulo) index expression:
 /// `Σ coeff_k · var_k + constant`, optionally reduced `mod m`.
@@ -37,12 +31,6 @@ pub struct AffineExpr {
     constant: i64,
     modulus: Option<i64>,
 }
-
-dwm_foundation::json_struct!(AffineExpr {
-    terms,
-    constant,
-    modulus
-});
 
 impl AffineExpr {
     /// The constant expression `c`.
@@ -156,65 +144,6 @@ pub enum Node {
     },
 }
 
-// Externally tagged by hand (both variants carry fields):
-// `{"Loop":{"var":…,"lo":…,"hi":…,"body":[…]}}` |
-// `{"Access":{"array":…,"index":…,"write":…}}`.
-impl ToJson for Node {
-    fn to_json(&self) -> Value {
-        let (tag, fields) = match self {
-            Node::Loop { var, lo, hi, body } => {
-                let mut f = Object::new();
-                f.insert("var", var.to_json());
-                f.insert("lo", lo.to_json());
-                f.insert("hi", hi.to_json());
-                f.insert("body", body.to_json());
-                ("Loop", f)
-            }
-            Node::Access {
-                array,
-                index,
-                write,
-            } => {
-                let mut f = Object::new();
-                f.insert("array", array.to_json());
-                f.insert("index", index.to_json());
-                f.insert("write", write.to_json());
-                ("Access", f)
-            }
-        };
-        let mut tagged = Object::new();
-        tagged.insert(tag, Value::Obj(fields));
-        Value::Obj(tagged)
-    }
-}
-
-impl FromJson for Node {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        let obj = v
-            .as_object()
-            .filter(|o| o.len() == 1)
-            .ok_or_else(|| JsonError::expected("Node variant", v))?;
-        let (tag, body) = obj.iter().next().expect("len-1 object has an entry");
-        let fields = body
-            .as_object()
-            .ok_or_else(|| JsonError::expected("Node variant fields", body))?;
-        match tag {
-            "Loop" => Ok(Node::Loop {
-                var: field(fields, "var")?,
-                lo: field(fields, "lo")?,
-                hi: field(fields, "hi")?,
-                body: field(fields, "body")?,
-            }),
-            "Access" => Ok(Node::Access {
-                array: field(fields, "array")?,
-                index: field(fields, "index")?,
-                write: field(fields, "write")?,
-            }),
-            other => Err(JsonError::decode(format!("unknown Node variant {other:?}"))),
-        }
-    }
-}
-
 /// A declared array: length in elements and elements per data item
 /// (block granularity for placement).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -226,8 +155,6 @@ pub struct ArrayDecl {
     /// Elements per placement item.
     pub block: usize,
 }
-
-dwm_foundation::json_struct!(ArrayDecl { name, len, block });
 
 impl ArrayDecl {
     /// Number of placement items this array occupies.
@@ -247,8 +174,6 @@ pub struct Program {
     vars: Vec<String>,
     root: Vec<Node>,
 }
-
-dwm_foundation::json_struct!(Program { arrays, vars, root });
 
 /// Builder handle for a loop body (or the program root).
 #[derive(Debug)]

@@ -105,6 +105,33 @@ impl TopologyCost {
         }
     }
 
+    /// Checks that `placement` fits this model's tape: the tape holds
+    /// every item, and no two ports share a position. [`new`](Self::new)
+    /// takes any shape; callers that cost a layout given from outside
+    /// (the CLI's `eval`, the daemon's `/evaluate`) check it here first.
+    ///
+    /// # Errors
+    ///
+    /// A one-line message naming the violated constraint.
+    pub fn check_fit(&self, placement: &Placement) -> Result<(), String> {
+        if self.len < placement.num_items() {
+            return Err(format!(
+                "a {}-item placement does not fit a {}-word tape",
+                placement.num_items(),
+                self.len
+            ));
+        }
+        if self.layout.positions().windows(2).any(|w| w[0] == w[1]) {
+            return Err(format!(
+                "{} ports on a {}-word tape share positions {:?}",
+                self.layout.len(),
+                self.len,
+                self.layout.positions()
+            ));
+        }
+        Ok(())
+    }
+
     /// Replays `trace` under `placement` and returns the counters.
     ///
     /// # Panics

@@ -1,3 +1,4 @@
+use dwm_foundation::json::{field, FromJson, JsonError, Object, ToJson, Value};
 use dwm_trace::ItemId;
 
 use crate::error::PlacementError;
@@ -32,7 +33,35 @@ pub struct Placement {
     items: Vec<usize>,
 }
 
-dwm_foundation::json_struct!(Placement { offsets, items });
+// `{"offsets":[…],"items":[…]}`, the file `dwmplace place --out` writes.
+// Decoding goes through `from_offsets`, so a file that is not a
+// permutation, or whose `items` is not the inverse of its `offsets`, is
+// refused rather than costed.
+impl ToJson for Placement {
+    fn to_json(&self) -> Value {
+        let mut obj = Object::new();
+        obj.insert("offsets", self.offsets.to_json());
+        obj.insert("items", self.items.to_json());
+        Value::Obj(obj)
+    }
+}
+
+impl FromJson for Placement {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        let obj = v
+            .as_object()
+            .ok_or_else(|| JsonError::expected("object for Placement", v))?;
+        let placement = Placement::from_offsets(field(obj, "offsets")?)
+            .map_err(|e| JsonError::decode(format!("invalid placement: {e}")))?;
+        let items: Vec<usize> = field(obj, "items")?;
+        if items != placement.items {
+            return Err(JsonError::decode(
+                "invalid placement: \"items\" is not the inverse of \"offsets\"",
+            ));
+        }
+        Ok(placement)
+    }
+}
 
 impl Placement {
     /// The identity placement: item `i` at offset `i`.
@@ -239,7 +268,53 @@ mod tests {
     fn json_round_trip() {
         let p = Placement::from_order([3, 1, 0, 2]);
         let json = dwm_foundation::json::to_string(&p);
+        assert_eq!(json, r#"{"offsets":[2,1,3,0],"items":[3,1,0,2]}"#);
         let back: Placement = dwm_foundation::json::from_str(&json).unwrap();
         assert_eq!(p, back);
+    }
+
+    #[test]
+    fn json_accepts_exactly_the_offsets_from_offsets_accepts() {
+        use dwm_foundation::{require, require_eq, Checker};
+        // Half the cases shuffle a permutation, then maybe break one
+        // entry; `items` is the true inverse or the identity.
+        Checker::new("json_accepts_exactly_the_offsets_from_offsets_accepts").run(
+            |rng| {
+                let n = rng.gen_range(0..8usize);
+                let mut offsets: Vec<usize> = (0..n).collect();
+                if rng.gen_bool(0.5) {
+                    rng.shuffle(&mut offsets);
+                    if n > 0 && rng.gen_bool(0.5) {
+                        let at = rng.gen_range(0..n);
+                        offsets[at] = rng.gen_range(0..n + 2);
+                    }
+                } else {
+                    offsets
+                        .iter_mut()
+                        .for_each(|o| *o = rng.gen_range(0..n + 2));
+                }
+                (offsets, rng.gen_bool(0.5))
+            },
+            |(offsets, inverse)| {
+                let checked = Placement::from_offsets(offsets.clone());
+                let items: Vec<usize> = match (&checked, inverse) {
+                    (Ok(p), true) => p.order().to_vec(),
+                    _ => (0..offsets.len()).collect(),
+                };
+                let json = format!(
+                    r#"{{"offsets":{},"items":{}}}"#,
+                    dwm_foundation::json::to_string(offsets),
+                    dwm_foundation::json::to_string(&items)
+                );
+                let decoded = dwm_foundation::json::from_str::<Placement>(&json);
+                match checked {
+                    Ok(p) if p.order() == items.as_slice() => {
+                        require_eq!(decoded.ok(), Some(p));
+                    }
+                    _ => require!(decoded.is_err(), "accepted {json}"),
+                }
+                Ok(())
+            },
+        );
     }
 }

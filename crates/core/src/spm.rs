@@ -27,13 +27,6 @@ pub struct SpmLayout {
     words_per_dbc: usize,
 }
 
-dwm_foundation::json_struct!(SpmLayout {
-    dbc_of,
-    offset_of,
-    dbcs,
-    words_per_dbc
-});
-
 impl SpmLayout {
     /// DBC index of `item`.
     pub fn dbc_of(&self, item: usize) -> usize {

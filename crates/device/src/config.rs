@@ -18,13 +18,6 @@ pub struct TimingConfig {
     pub clock_ns: f64,
 }
 
-dwm_foundation::json_struct!(TimingConfig {
-    shift_cycles,
-    read_cycles,
-    write_cycles,
-    clock_ns
-});
-
 impl Default for TimingConfig {
     fn default() -> Self {
         TimingConfig {
@@ -53,13 +46,6 @@ pub struct EnergyConfig {
     /// simulated interval).
     pub leakage_mw: f64,
 }
-
-dwm_foundation::json_struct!(EnergyConfig {
-    shift_pj_per_track,
-    read_pj,
-    write_pj,
-    leakage_mw
-});
 
 impl Default for EnergyConfig {
     fn default() -> Self {
@@ -101,15 +87,6 @@ pub struct DeviceConfig {
     timing: TimingConfig,
     energy: EnergyConfig,
 }
-
-dwm_foundation::json_struct!(DeviceConfig {
-    domains_per_track,
-    tracks_per_dbc,
-    ports,
-    dbcs,
-    timing,
-    energy
-});
 
 impl DeviceConfig {
     /// Starts building a configuration from the literature defaults.
@@ -454,14 +431,6 @@ mod tests {
             .unwrap();
         assert!(four.overhead_domains() < one.overhead_domains());
         assert!(four.storage_efficiency() > one.storage_efficiency());
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let c = DeviceConfig::builder().ports(2).build().unwrap();
-        let json = dwm_foundation::json::to_string(&c);
-        let back: DeviceConfig = dwm_foundation::json::from_str(&json).unwrap();
-        assert_eq!(c, back);
     }
 
     #[test]

@@ -45,15 +45,6 @@ pub struct Dbc {
     write_counts: Vec<u64>,
 }
 
-dwm_foundation::json_struct!(Dbc {
-    tracks,
-    ports,
-    words,
-    displacement,
-    stats,
-    write_counts
-});
-
 impl Dbc {
     /// Creates a zero-filled DBC from a device configuration.
     pub fn new(config: &DeviceConfig) -> Self {

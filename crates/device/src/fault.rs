@@ -24,8 +24,6 @@ pub struct ShiftFaultModel {
     pub slip_probability: f64,
 }
 
-dwm_foundation::json_struct!(ShiftFaultModel { slip_probability });
-
 impl ShiftFaultModel {
     /// A model with the given per-step slip probability.
     ///
@@ -63,8 +61,6 @@ pub struct FaultInjector {
     model: ShiftFaultModel,
     state: u64,
 }
-
-dwm_foundation::json_struct!(FaultInjector { model, state });
 
 impl FaultInjector {
     /// An injector drawing from `model` with the given seed.

@@ -5,8 +5,6 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PortId(pub usize);
 
-dwm_foundation::json_newtype!(PortId);
-
 impl std::fmt::Display for PortId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "port{}", self.0)
@@ -38,8 +36,6 @@ pub struct PortLayout {
     positions: Vec<usize>,
 }
 
-dwm_foundation::json_struct!(PortLayout { positions });
-
 impl PortLayout {
     /// A single port at word offset 0 (the common low-cost design).
     pub fn single() -> Self {
@@ -66,8 +62,11 @@ impl PortLayout {
         PortLayout { positions }
     }
 
-    /// A layout with explicit positions; they are sorted and kept as-is
-    /// (duplicates are rejected by configuration validation).
+    /// A layout with explicit positions, sorted. Repeated positions are
+    /// kept: [`DeviceConfig`](crate::DeviceConfig) validation refuses
+    /// them, and so does `dwm_core::TopologyCost::check_fit`, which
+    /// `dwmplace eval` and the daemon's `/evaluate` run before costing a
+    /// layout.
     pub fn at_positions<I: IntoIterator<Item = usize>>(positions: I) -> Self {
         let mut positions: Vec<usize> = positions.into_iter().collect();
         positions.sort_unstable();
@@ -153,11 +152,6 @@ pub enum PortCapability {
     ReadWrite,
 }
 
-dwm_foundation::json_unit_enum!(PortCapability {
-    ReadOnly,
-    ReadWrite
-});
-
 /// A port layout in which each port is read-only or read-write.
 ///
 /// # Example
@@ -179,8 +173,6 @@ pub struct TypedPortLayout {
     read: PortLayout,
     write: PortLayout,
 }
-
-dwm_foundation::json_struct!(TypedPortLayout { read, write });
 
 impl TypedPortLayout {
     /// Builds a typed layout from `(position, capability)` pairs.

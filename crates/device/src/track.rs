@@ -38,14 +38,6 @@ pub struct Track {
     shift_steps: u64,
 }
 
-dwm_foundation::json_struct!(Track {
-    bits,
-    displacement,
-    min_displacement,
-    max_displacement,
-    shift_steps
-});
-
 impl Track {
     /// Creates a track with `data_len` data domains and enough padding
     /// for displacements in `[-(data_len - 1 - first_port), last_port]`

@@ -578,7 +578,7 @@ mod tests {
         assert_eq!(attempts.get(), 1, "the first failed write closes the sink");
         let json = std::fs::read_to_string(&report).expect("the report is still written");
         std::fs::remove_file(&report).ok();
-        let v: Value = from_str(&json).unwrap();
+        let v = crate::json::parse(&json).unwrap();
         let results = v
             .as_object()
             .unwrap()

@@ -2,14 +2,14 @@
 //! [`FromJson`](crate::json::FromJson) impls — the in-tree replacement
 //! for `#[derive(Serialize, Deserialize)]`.
 //!
-//! Three shapes cover almost every serialized type in the workspace:
+//! Three shapes cover the serialized types in the workspace:
 //! named-field structs ([`json_struct!`](crate::json_struct)), newtype
 //! wrappers ([`json_newtype!`](crate::json_newtype)), and fieldless
-//! enums ([`json_unit_enum!`](crate::json_unit_enum)). The few enums
-//! with data-carrying variants write their impls by hand against the
-//! same externally-tagged convention serde used
-//! (`{"Variant": {fields…}}`), so existing JSON artifacts stay
-//! readable.
+//! enums ([`json_unit_enum!`](crate::json_unit_enum)). The generated
+//! decoders fill fields directly, past any checked constructor, so a
+//! type with an invariant to keep (`dwm_core::Placement`, a
+//! permutation) writes its impls by hand and decodes through that
+//! constructor.
 
 /// Implements `ToJson`/`FromJson` for a named-field struct.
 ///
@@ -21,12 +21,12 @@
 /// use dwm_foundation::json::{from_str, to_string};
 ///
 /// #[derive(Debug, PartialEq)]
-/// struct Point { x: i64, y: i64 }
-/// dwm_foundation::json_struct!(Point { x, y });
+/// struct Span { start: u64, len: u64 }
+/// dwm_foundation::json_struct!(Span { start, len });
 ///
-/// let p = Point { x: 1, y: -2 };
-/// assert_eq!(to_string(&p), r#"{"x":1,"y":-2}"#);
-/// assert_eq!(from_str::<Point>(r#"{"x":1,"y":-2}"#).unwrap(), p);
+/// let s = Span { start: 1, len: 2 };
+/// assert_eq!(to_string(&s), r#"{"start":1,"len":2}"#);
+/// assert_eq!(from_str::<Span>(r#"{"start":1,"len":2}"#).unwrap(), s);
 /// ```
 #[macro_export]
 macro_rules! json_struct {
@@ -158,7 +158,7 @@ mod tests {
     #[derive(Debug, PartialEq)]
     struct Outer {
         items: Vec<Inner>,
-        scale: Option<f64>,
+        scale: f64,
     }
     json_struct!(Outer { items, scale });
 
@@ -186,12 +186,12 @@ mod tests {
                     weight: u64::MAX,
                 },
             ],
-            scale: None,
+            scale: 0.5,
         };
         let json = to_string(&o);
         assert_eq!(
             json,
-            r#"{"items":[{"label":"a","weight":1},{"label":"b","weight":18446744073709551615}],"scale":null}"#
+            r#"{"items":[{"label":"a","weight":1},{"label":"b","weight":18446744073709551615}],"scale":0.5}"#
         );
         assert_eq!(from_str::<Outer>(&json).unwrap(), o);
     }

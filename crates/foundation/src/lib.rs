@@ -36,7 +36,7 @@
 //! placement-as-a-service daemon on.
 //!
 //! A seventh module, [`obs`], is the observability substrate: a
-//! sharded metrics registry (striped counters, gauges, atomic
+//! metrics registry (one name-ordered map of counters, gauges, atomic
 //! histograms reusing the [`mod@bench`] bucketing) with span timers
 //! and a `DWM_OBS` enable knob, exported as Prometheus text (the
 //! daemon's `GET /metrics`) or JSON (the CLI's `--obs` dump). Solver

@@ -7,14 +7,14 @@
 //! hit rates. This module provides that introspection without pulling
 //! `prometheus`/`metrics`/`tracing` from crates.io:
 //!
-//! * [`Counter`] — monotonic, striped over cache-line-padded atomics
-//!   so concurrent hot-path increments don't contend;
+//! * [`Counter`] — monotonic, one relaxed atomic (hot loops batch
+//!   locally and add once per call);
 //! * [`Gauge`] — a signed point-in-time value (queue depths);
 //! * [`Histogram`] — an atomic log-bucketed histogram sharing the
 //!   bucketing scheme of [`crate::bench::Histogram`] (≤ ~1.6%
 //!   relative quantization error), with [`Histogram::span`] timers
 //!   for scoped latency measurement;
-//! * [`Registry`] — a sharded name → metric map. Each metric is
+//! * [`Registry`] — one locked, name-ordered metric map. Each metric is
 //!   registered once and handed out as a cheap [`Arc`] handle;
 //!   instrument code caches the handle in a `static` (see the
 //!   [`obs_counter!`](crate::obs_counter) family of macros), so the
@@ -48,8 +48,8 @@
 //! prune counts depend on incumbent-propagation timing across
 //! threads).
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -120,28 +120,14 @@ impl Drop for ObsOverrideGuard {
 /// assert on gated metric values (`cargo test` shares one process).
 pub static TEST_OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
 
-/// Stripes per counter: enough to spread the workspace's worker-pool
-/// sizes without contention, small enough to sum cheaply at scrape.
-const STRIPES: usize = 16;
-
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct PaddedU64(AtomicU64);
-
-static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
-
-std::thread_local! {
-    /// Each thread's home stripe, assigned round-robin at first use.
-    static STRIPE: usize = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) & (STRIPES - 1);
-}
-
-/// A monotonic counter, striped across cache-line-padded atomics so
-/// concurrent increments from the worker pool don't bounce one line.
+/// A monotonic counter: one relaxed atomic. Hot loops batch their
+/// increments locally and add once per call, so a counter sees a few
+/// adds per request at most.
 #[derive(Debug)]
 pub struct Counter {
     name: String,
     help: String,
-    cells: [PaddedU64; STRIPES],
+    value: AtomicU64,
 }
 
 impl Counter {
@@ -149,7 +135,7 @@ impl Counter {
         Counter {
             name,
             help,
-            cells: Default::default(),
+            value: AtomicU64::new(0),
         }
     }
 
@@ -190,12 +176,12 @@ impl Counter {
     /// with `DWM_OBS=0`.
     #[inline]
     pub fn add_always(&self, n: u64) {
-        STRIPE.with(|&s| self.cells[s].0.fetch_add(n, Ordering::Relaxed));
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Current value (sum over stripes).
+    /// Current value.
     pub fn value(&self) -> u64 {
-        self.cells.iter().map(|c| c.0.load(Ordering::Relaxed)).sum()
+        self.value.load(Ordering::Relaxed)
     }
 }
 
@@ -465,15 +451,11 @@ impl Metric {
     }
 }
 
-/// Shards in a [`Registry`] — registration is rare, so this only has
-/// to keep scrapes from serializing against bursts of first-use
-/// registrations.
-const REGISTRY_SHARDS: usize = 8;
-
 /// A name → metric map. Metrics register once (idempotently — a
 /// second registration under the same name returns the existing
 /// handle) and are read out for export sorted by name, so rendered
-/// output is deterministic.
+/// output is deterministic. Registration happens at start-up or on a
+/// metric's first use, so one lock over one ordered map serves.
 ///
 /// Two registries matter in practice: the process-wide [`global`] one
 /// (solver, simulator, and transport metrics) and per-`Engine`
@@ -481,7 +463,7 @@ const REGISTRY_SHARDS: usize = 8;
 /// spin up engines without sharing counter state).
 #[derive(Debug)]
 pub struct Registry {
-    shards: Vec<Mutex<HashMap<String, Metric>>>,
+    metrics: Mutex<BTreeMap<String, Metric>>,
     /// Labels stamped onto every metric registered here, ahead of any
     /// call-site labels. Lets N otherwise-identical registries (e.g.
     /// per-shard engines in a `dwm-serve` cluster) render side by side
@@ -505,9 +487,7 @@ impl Registry {
     /// any labels passed at the registration call site).
     pub fn with_labels(labels: &[(&str, &str)]) -> Self {
         Registry {
-            shards: (0..REGISTRY_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
+            metrics: Mutex::new(BTreeMap::new()),
             default_labels: labels
                 .iter()
                 .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
@@ -530,22 +510,13 @@ impl Registry {
         full_name(name, &merged)
     }
 
-    fn shard(&self, key: &str) -> &Mutex<HashMap<String, Metric>> {
-        // FNV-1a over the key; registration is not a hot path.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in key.bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x1000_0000_01b3);
-        }
-        &self.shards[(h % REGISTRY_SHARDS as u64) as usize]
-    }
-
     fn get_or_insert(&self, key: String, make: impl FnOnce(String) -> Metric) -> Metric {
-        let mut shard = self.shard(&key).lock().expect("registry lock poisoned");
-        if let Some(existing) = shard.get(&key) {
+        let mut metrics = self.metrics.lock().expect("registry lock poisoned");
+        if let Some(existing) = metrics.get(&key) {
             return existing.clone();
         }
         let metric = make(key.clone());
-        shard.insert(key, metric.clone());
+        metrics.insert(key, metric.clone());
         metric
     }
 
@@ -648,19 +619,8 @@ impl Registry {
 
     /// Every registered metric, sorted by full name.
     pub fn metrics(&self) -> Vec<Metric> {
-        let mut out: Vec<Metric> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.lock()
-                    .expect("registry lock poisoned")
-                    .values()
-                    .cloned()
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        out.sort_by(|a, b| a.name().cmp(b.name()));
-        out
+        let metrics = self.metrics.lock().expect("registry lock poisoned");
+        metrics.values().cloned().collect()
     }
 
     /// The registry as a JSON value (see [`dump_json`]).
@@ -888,7 +848,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_sums_across_threads_and_stripes() {
+    fn counter_sums_across_threads() {
         let _l = TEST_OVERRIDE_LOCK.lock().unwrap();
         let _on = override_enabled(true);
         let r = Registry::new();

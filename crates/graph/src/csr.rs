@@ -18,8 +18,7 @@ use crate::graph::AccessGraph;
 /// answered by [`ArrangementEval`] — the denominator of every solver's
 /// moves-per-evaluation story. Evaluators count into a per-evaluator
 /// relaxed atomic (uncontended unless the *same* evaluator is shared
-/// across threads) and flush to the global striped counter once on
-/// drop.
+/// across threads) and flush to the global counter once on drop.
 pub(crate) fn delta_eval_counter() -> &'static dwm_foundation::obs::Counter {
     dwm_foundation::obs_counter!(
         "dwm_graph_eval_delta_evals_total",

@@ -3,8 +3,6 @@ use dwm_foundation::Rng;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BlockId(pub usize);
 
-dwm_foundation::json_newtype!(BlockId);
-
 /// A weighted, directed control-flow edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CfgEdge {
@@ -15,12 +13,6 @@ pub struct CfgEdge {
     /// Execution frequency (profile count).
     pub frequency: u64,
 }
-
-dwm_foundation::json_struct!(CfgEdge {
-    from,
-    to,
-    frequency
-});
 
 /// A control-flow graph with block sizes and profiled edge
 /// frequencies.
@@ -42,8 +34,6 @@ pub struct Cfg {
     lens: Vec<usize>,
     edges: Vec<CfgEdge>,
 }
-
-dwm_foundation::json_struct!(Cfg { lens, edges });
 
 impl Cfg {
     /// An empty CFG.

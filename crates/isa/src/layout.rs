@@ -12,8 +12,6 @@ pub struct BlockOrder {
     end: Vec<usize>,
 }
 
-dwm_foundation::json_struct!(BlockOrder { order, start, end });
-
 impl BlockOrder {
     /// Lays blocks out in the given order, computing offsets from the
     /// CFG's block sizes.

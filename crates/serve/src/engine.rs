@@ -789,6 +789,9 @@ impl Engine {
             PortLayout::evenly_spaced(ports, tape_length),
             tape_length,
         );
+        model
+            .check_fit(&placement)
+            .map_err(ProtocolError::bad_request)?;
         let report = model.trace_cost(&placement, &trace);
 
         let mut body = Object::new();
@@ -1409,6 +1412,25 @@ mod tests {
             r#"{"ids":[0,1],"placement":[0,0]}"#,
         ));
         assert_eq!(dup.status, 400);
+    }
+
+    #[test]
+    fn evaluate_refuses_layouts_that_do_not_fit_the_tape() {
+        let e = engine();
+        let evaluate = |knobs: &str| {
+            e.handle(&Request::post(
+                "/evaluate",
+                format!(r#"{{"ids":[0,1,0,2,1],"placement":[0,1,2]{knobs}}}"#),
+            ))
+        };
+        for knobs in [r#","tape_length":2"#, r#","ports":5,"tape_length":3"#] {
+            let resp = evaluate(knobs);
+            assert_eq!(resp.status, 400, "{knobs}: {:?}", resp.body_str());
+            assert!(body_obj(&resp).get("error").is_some(), "{knobs}");
+        }
+        let fits = evaluate(r#","tape_length":3"#);
+        assert_eq!(fits.status, 200, "{:?}", fits.body_str());
+        assert!(fits.body_str().unwrap().contains(r#""stats":{"shifts":5,"#));
     }
 
     #[test]

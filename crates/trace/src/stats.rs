@@ -27,17 +27,6 @@ pub struct TraceStats {
     pub mean_stride: f64,
 }
 
-dwm_foundation::json_struct!(TraceStats {
-    length,
-    distinct_items,
-    reads,
-    writes,
-    transitions,
-    self_transition_rate,
-    hot20_share,
-    mean_stride
-});
-
 impl TraceStats {
     /// Computes statistics for `trace`. Handles non-dense ids.
     pub fn from_trace(trace: &Trace) -> Self {

@@ -13,7 +13,7 @@ use dwm_foundation::{require_eq, Checker, Rng};
 use dwm_placement::prelude::*;
 use dwm_placement::trace::kernels::Kernel;
 
-/// Striped counters lose no increments under contention: for any
+/// Counters lose no increments under contention: for any
 /// thread count and per-thread workload, the value is the exact sum.
 #[test]
 fn concurrent_counter_increments_are_exact() {
