@@ -29,10 +29,10 @@
 //!
 //! A sixth module, [`net`], is the serving substrate: a minimal
 //! HTTP/1.1-style request parser/response writer plus an epoll
-//! event-loop TCP server (per-shard `SO_REUSEPORT` acceptors,
-//! nonblocking per-connection state machines, a bounded handler pool,
-//! backpressure via `503`, slow-header cutoff via `408`, graceful
-//! drain on shutdown) that `dwm-serve` builds its
+//! event-loop TCP server (one epoll loop owning the listener and every
+//! nonblocking per-connection state machine, a bounded handler pool,
+//! backpressure via `503`, slow-header cutoff via `408`, a stalled
+//! write closed after the same deadline, graceful drain on shutdown) that `dwm-serve` builds its
 //! placement-as-a-service daemon on.
 //!
 //! A seventh module, [`obs`], is the observability substrate: a

@@ -17,21 +17,23 @@
 //! * [`BoundedQueue`] — a capacity-limited MPMC handoff queue whose
 //!   `try_push` refuses work when full, giving the server backpressure
 //!   instead of unbounded memory growth;
-//! * [`Server`] — per-shard event loops (one `SO_REUSEPORT` listener
-//!   each) driving nonblocking connections as explicit state machines
-//!   (reading → handling → writing → keep-alive), with parsed requests
-//!   handed to a bounded worker pool so handler CPU time never blocks
-//!   a loop. Overload answers `503` per request; slow-header peers are
-//!   cut off with `408` after [`ServerConfig::read_deadline`];
-//!   shutdown is graceful: accepting stops, idle connections shed,
-//!   in-flight requests drain to completion, and every thread joins.
+//! * [`Server`] — one event loop owning the listener and driving
+//!   nonblocking connections as explicit state machines (reading →
+//!   handling → writing → keep-alive), with parsed requests handed to
+//!   a bounded worker pool so handler CPU time never blocks the loop.
+//!   Overload answers `503` per request; slow-header peers are cut off
+//!   with `408` after [`ServerConfig::read_deadline`], and a peer that
+//!   stops reading its response is disconnected after the same
+//!   deadline; shutdown is graceful: accepting stops, idle connections
+//!   shed, in-flight requests drain to completion, and every thread
+//!   joins.
 //!
 //! Connection count is bounded by fds, not threads: 10 000 idle
 //! keep-alive connections cost 10 000 fds and their buffers, while
-//! thread count stays `workers + shards`.
+//! thread count stays `workers + 1`.
 //!
-//! Determinism note: a connection belongs to exactly one event loop,
-//! and only one request per connection is ever in flight, so a single
+//! Determinism note: only the event loop touches a connection, and
+//! only one request per connection is ever in flight, so a single
 //! client always observes its responses in request order;
 //! cross-connection scheduling is left to the OS, which is fine
 //! because the service's response bodies are a pure function of the
@@ -143,10 +145,10 @@ impl<T> BoundedQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{self, BufReader, Cursor, Write};
+    use std::io::{self, BufReader, Cursor, Read, Write};
     use std::net::TcpStream;
     use std::sync::atomic::Ordering;
-    use std::sync::Arc;
+    use std::sync::{mpsc, Arc};
     use std::time::Duration;
 
     fn parse(bytes: &[u8]) -> Result<Option<Request>, NetError> {
@@ -412,5 +414,104 @@ mod tests {
         });
         assert!(finished.recv_timeout(BOUND).is_ok(), "drain did not finish");
         drain.join().expect("the drain thread returned");
+    }
+
+    #[test]
+    fn a_second_server_on_a_live_address_fails_with_addr_in_use() {
+        let handle = Server::start(ServerConfig::default(), |_| Response::text(200, "ok")).unwrap();
+        let config = ServerConfig {
+            addr: handle.local_addr().to_string(),
+            ..ServerConfig::default()
+        };
+        let second = Server::start(config, |_| Response::text(200, "ok"));
+        assert_eq!(second.unwrap_err().kind(), io::ErrorKind::AddrInUse);
+        handle.shutdown();
+        handle.join();
+    }
+
+    /// Body size of [`big_body_server`]'s responses: far more than the
+    /// loopback socket buffers hold, so a peer must read for the
+    /// response to finish.
+    const BIG_BODY: usize = 32 << 20;
+
+    /// A server with a 500 ms read deadline that answers every request
+    /// with [`BIG_BODY`] bytes, signalling `handled` as it does.
+    fn big_body_server(handled: mpsc::SyncSender<()>) -> ServerHandle {
+        let config = ServerConfig {
+            read_deadline: Duration::from_millis(500),
+            ..ServerConfig::default()
+        };
+        Server::start(config, move |_| {
+            let _ = handled.try_send(());
+            Response::text(200, vec![b'x'; BIG_BODY])
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn a_peer_that_stops_reading_cannot_stall_drain() {
+        const BOUND: Duration = Duration::from_secs(5);
+        let (handled, on_handled) = mpsc::sync_channel(1);
+        let handle = big_body_server(handled);
+        // One request, then the peer holds its socket open and never
+        // reads a byte of the response.
+        let stream = TcpStream::connect(handle.local_addr()).unwrap();
+        Request::new("GET", "/big").write_to(&mut &stream).unwrap();
+        on_handled.recv_timeout(BOUND).expect("the handler ran");
+        let (done, finished) = mpsc::channel();
+        let drain = std::thread::spawn(move || {
+            handle.shutdown();
+            let stats = handle.stats();
+            while stats.write_timeouts.load(Ordering::Relaxed) == 0 {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            let write_timeouts = stats.write_timeouts.load(Ordering::Relaxed);
+            handle.join();
+            let _ = done.send(write_timeouts);
+        });
+        let write_timeouts = finished.recv_timeout(BOUND).expect("drain did not finish");
+        assert_eq!(write_timeouts, 1);
+        drain.join().expect("the drain thread returned");
+        drop(stream);
+    }
+
+    /// Reads at most 1 MiB, then waits 50 ms before the next MiB.
+    struct SlowReader {
+        stream: TcpStream,
+        left: usize,
+    }
+
+    impl Read for SlowReader {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.left == 0 {
+                std::thread::sleep(Duration::from_millis(50));
+                self.left = 1 << 20;
+            }
+            let cap = buf.len().min(self.left);
+            let n = self.stream.read(&mut buf[..cap])?;
+            self.left -= n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_slow_reader_that_keeps_reading_receives_the_whole_response() {
+        let (handled, _on_handled) = mpsc::sync_channel(1);
+        let handle = big_body_server(handled);
+        let stream = TcpStream::connect(handle.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        Request::new("GET", "/big").write_to(&mut &stream).unwrap();
+        // Reads free socket buffer space every 50 ms, so the server's
+        // flushes keep making progress and re-arming its 500 ms
+        // deadline; the 1.6 s transfer outlives any one deadline.
+        let mut reader = BufReader::new(SlowReader { stream, left: 0 });
+        let resp = read_response(&mut reader).unwrap().unwrap();
+        assert_eq!(resp.body.len(), BIG_BODY);
+        assert!(resp.body.iter().all(|&b| b == b'x'));
+        assert_eq!(handle.stats().write_timeouts.load(Ordering::Relaxed), 0);
+        handle.shutdown();
+        handle.join();
     }
 }

@@ -6,7 +6,8 @@ use std::io::{self, BufRead, Write};
 
 /// Hard cap on header lines per request.
 pub(crate) const MAX_HEADERS: usize = 64;
-/// Hard cap on one header or request line, in bytes.
+/// Hard cap on one header or request line, in bytes, not counting its
+/// CRLF or LF terminator.
 pub(crate) const MAX_LINE: usize = 8 * 1024;
 /// Hard cap on a request body, in bytes (64 MiB — a multi-million
 /// access trace in JSON still fits comfortably).
@@ -98,6 +99,12 @@ impl Request {
     }
 }
 
+/// Whether the unterminated line `pending` already exceeds
+/// [`MAX_LINE`]; a trailing `\r` may yet turn out to start the CRLF.
+fn too_long(pending: &[u8]) -> bool {
+    pending.strip_suffix(b"\r").unwrap_or(pending).len() > MAX_LINE
+}
+
 /// Reads one line terminated by `\n`, stripping the optional `\r`.
 /// Returns `Ok(None)` on clean EOF before the first byte.
 fn read_line<R: BufRead>(r: &mut R) -> Result<Option<String>, NetError> {
@@ -120,10 +127,10 @@ fn read_line<R: BufRead>(r: &mut R) -> Result<Option<String>, NetError> {
                         .map(Some)
                         .map_err(|_| NetError::Malformed("non-UTF-8 header line".into()));
                 }
-                if line.len() >= MAX_LINE {
+                line.push(byte[0]);
+                if too_long(&line) {
                     return Err(NetError::Malformed("header line too long".into()));
                 }
-                line.push(byte[0]);
             }
             Err(e) => return Err(NetError::Io(e)),
         }
@@ -131,21 +138,32 @@ fn read_line<R: BufRead>(r: &mut R) -> Result<Option<String>, NetError> {
 }
 
 /// Parses a `name: value` header line, folding the name to lower case
-/// and enforcing the `content-length` bounds shared by the blocking
-/// and incremental parsers.
-fn parse_header(line: &str, content_length: &mut usize) -> Result<(String, String), NetError> {
+/// and enforcing the `content-length` rules shared by the blocking and
+/// incremental parsers: ASCII digits only (`usize::from_str` would
+/// also take a leading `+`), at most [`MAX_BODY`], and a repeated
+/// header must repeat the first value (RFC 9112 §6.3: anything else
+/// leaves the body's end ambiguous).
+fn parse_header(
+    line: &str,
+    content_length: &mut Option<usize>,
+) -> Result<(String, String), NetError> {
     let Some((name, value)) = line.split_once(':') else {
         return Err(NetError::Malformed(format!("bad header line {line:?}")));
     };
     let name = name.trim().to_ascii_lowercase();
     let value = value.trim().to_owned();
     if name == "content-length" {
-        *content_length = value
-            .parse()
-            .map_err(|_| NetError::Malformed(format!("bad content-length {value:?}")))?;
-        if *content_length > MAX_BODY {
+        let length = match value.parse::<usize>() {
+            Ok(length) if value.bytes().all(|b| b.is_ascii_digit()) => length,
+            _ => return Err(NetError::Malformed(format!("bad content-length {value:?}"))),
+        };
+        if content_length.is_some_and(|first| first != length) {
+            return Err(NetError::Malformed("conflicting content-length".into()));
+        }
+        if length > MAX_BODY {
             return Err(NetError::Malformed("body too large".into()));
         }
+        *content_length = Some(length);
     }
     Ok((name, value))
 }
@@ -174,7 +192,7 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Option<Request>, NetError> 
     };
     let (method, path) = parse_request_line(&request_line)?;
     let mut headers = Vec::new();
-    let mut content_length = 0usize;
+    let mut content_length = None;
     loop {
         let Some(line) = read_line(r)? else {
             return Err(NetError::Malformed("EOF in headers".into()));
@@ -187,7 +205,7 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Option<Request>, NetError> 
         }
         headers.push(parse_header(&line, &mut content_length)?);
     }
-    let mut body = vec![0u8; content_length];
+    let mut body = vec![0u8; content_length.unwrap_or(0)];
     r.read_exact(&mut body)?;
     Ok(Some(Request {
         method,
@@ -225,9 +243,7 @@ fn take_line(buf: &[u8], start: usize) -> Result<Option<(&str, usize)>, NetError
                 .map(|s| Some((s, start + i + 1)))
                 .map_err(|_| NetError::Malformed("non-UTF-8 header line".into()))
         }
-        None if buf.len() - start > MAX_LINE => {
-            Err(NetError::Malformed("header line too long".into()))
-        }
+        None if too_long(&buf[start..]) => Err(NetError::Malformed("header line too long".into())),
         None => Ok(None),
     }
 }
@@ -248,7 +264,7 @@ pub fn try_parse_request(buf: &[u8]) -> Result<Parsed, NetError> {
     };
     let (method, path) = parse_request_line(request_line)?;
     let mut headers = Vec::new();
-    let mut content_length = 0usize;
+    let mut content_length = None;
     loop {
         let Some((line, next)) = take_line(buf, pos)? else {
             return Ok(Parsed::Incomplete);
@@ -263,6 +279,7 @@ pub fn try_parse_request(buf: &[u8]) -> Result<Parsed, NetError> {
         let line = line.to_owned();
         headers.push(parse_header(&line, &mut content_length)?);
     }
+    let content_length = content_length.unwrap_or(0);
     if buf.len() < pos + content_length {
         return Ok(Parsed::Incomplete);
     }
@@ -413,6 +430,9 @@ pub fn read_response<R: BufRead>(r: &mut R) -> Result<Option<Response>, NetError
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::Checker;
+    use crate::rng::Rng;
+    use crate::{require, require_eq};
 
     #[test]
     fn incremental_parser_reports_incomplete_until_whole_request() {
@@ -477,6 +497,286 @@ mod tests {
         };
         assert_eq!(blocking, incremental);
         assert_eq!(consumed, wire.len());
+    }
+
+    /// Both parsers' verdicts on `wire`: blocking, then incremental.
+    fn both(wire: &[u8]) -> (Result<Option<Request>, NetError>, Result<Parsed, NetError>) {
+        (read_request(&mut &wire[..]), try_parse_request(wire))
+    }
+
+    fn is_malformed<T>(verdict: &Result<T, NetError>) -> bool {
+        matches!(verdict, Err(NetError::Malformed(_)))
+    }
+
+    #[test]
+    fn content_length_must_be_ascii_digits() {
+        for value in ["+5", "-5", "0x5", "5 5", "5,5", ""] {
+            let wire = format!("POST / HTTP/1.1\r\ncontent-length: {value}\r\n\r\nhello");
+            let (blocking, incremental) = both(wire.as_bytes());
+            assert!(is_malformed(&blocking), "{value:?}: {blocking:?}");
+            assert!(is_malformed(&incremental), "{value:?}: {incremental:?}");
+        }
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_malformed() {
+        // Last-one-wins would read an empty body and parse `hello` as
+        // the start of the next request.
+        let wire = b"POST / HTTP/1.1\r\ncontent-length: 5\r\ncontent-length: 0\r\n\r\n\
+                     helloGET /health HTTP/1.1\r\n\r\n";
+        let (blocking, incremental) = both(wire);
+        assert!(is_malformed(&blocking), "{blocking:?}");
+        assert!(is_malformed(&incremental), "{incremental:?}");
+        // A repeat of the same value leaves nothing ambiguous.
+        let wire = b"POST / HTTP/1.1\r\ncontent-length: 5\r\nContent-Length: 5\r\n\r\nhello";
+        let (blocking, incremental) = both(wire);
+        assert_eq!(blocking.unwrap().unwrap().body, b"hello");
+        let Ok(Parsed::Complete(request, consumed)) = incremental else {
+            panic!("a repeated equal content-length should parse");
+        };
+        assert_eq!(
+            (request.body.as_slice(), consumed),
+            (&b"hello"[..], wire.len())
+        );
+    }
+
+    /// Lowercase names the generator draws header names from.
+    const NAMES: [&str; 5] = [
+        "x-trace-id",
+        "accept",
+        "user-agent",
+        "content-type",
+        "connection",
+    ];
+    const PATH_CHARS: &[u8] =
+        b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789/_-.?=&%";
+    const VALUE_CHARS: &[u8] =
+        b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 ,;=/.-:";
+
+    fn ascii_from(rng: &mut Rng, alphabet: &[u8], len: usize) -> String {
+        (0..len)
+            .map(|_| char::from(alphabet[rng.gen_range(0..alphabet.len())]))
+            .collect()
+    }
+
+    fn mixed_case(rng: &mut Rng, name: &str) -> String {
+        name.chars()
+            .map(|c| {
+                if rng.gen_bool(0.5) {
+                    c.to_ascii_uppercase()
+                } else {
+                    c
+                }
+            })
+            .collect()
+    }
+
+    fn eol(rng: &mut Rng) -> &'static str {
+        if rng.gen_bool(0.9) {
+            "\r\n"
+        } else {
+            "\n"
+        }
+    }
+
+    /// A request's wire form and the request both parsers must read
+    /// back: random method and path (now and then a request line of
+    /// exactly `MAX_LINE` or `MAX_LINE - 1` bytes), 0–5 headers with
+    /// mixed-case names and a `content-length` among them, a 0–300-byte
+    /// body that contains line breaks, and CRLF or bare-LF line ends.
+    fn gen_request(rng: &mut Rng) -> (Vec<u8>, Request) {
+        let method = ["GET", "POST", "PUT", "DELETE", "PATCH"][rng.gen_range(0..5usize)];
+        let path_len = if rng.gen_bool(0.1) {
+            MAX_LINE - method.len() - " / HTTP/1.1".len() - rng.gen_range(0..2usize)
+        } else {
+            rng.gen_range(0..40usize)
+        };
+        let path = format!("/{}", ascii_from(rng, PATH_CHARS, path_len));
+        let body: Vec<u8> = (0..rng.gen_range(0..=300usize))
+            .map(|_| [b'\r', b'\n', b'{', b':', rng.gen::<u8>()][rng.gen_range(0..5usize)])
+            .collect();
+        let mut headers: Vec<(String, String)> = (0..rng.gen_range(0..=5usize))
+            .map(|_| {
+                let name = NAMES[rng.gen_range(0..NAMES.len())].to_owned();
+                let len = rng.gen_range(0..20usize);
+                (name, ascii_from(rng, VALUE_CHARS, len).trim().to_owned())
+            })
+            .collect();
+        if !body.is_empty() || rng.gen_bool(0.5) {
+            let copies = if rng.gen_bool(0.1) { 2 } else { 1 };
+            for _ in 0..copies {
+                let at = rng.gen_range(0..=headers.len());
+                headers.insert(at, ("content-length".into(), body.len().to_string()));
+            }
+        }
+        let mut wire = format!("{method} {path} HTTP/1.1{}", eol(rng));
+        for (name, value) in &headers {
+            let gap = [":", ": ", ":  ", ":\t"][rng.gen_range(0..4usize)];
+            let trail = if rng.gen_bool(0.2) { " " } else { "" };
+            let line_end = eol(rng);
+            wire += &format!("{}{gap}{value}{trail}{line_end}", mixed_case(rng, name));
+        }
+        wire += eol(rng);
+        let mut wire = wire.into_bytes();
+        wire.extend_from_slice(&body);
+        let request = Request {
+            method: method.to_owned(),
+            path,
+            headers,
+            body,
+        };
+        (wire, request)
+    }
+
+    /// Up to 20 KiB of bytes, each either random or an HTTP-ish piece,
+    /// mixed in a proportion drawn per case.
+    fn gen_garbage(rng: &mut Rng) -> Vec<u8> {
+        const PIECES: [&[u8]; 8] = [
+            b"\r\n",
+            b"\n",
+            b": ",
+            b" ",
+            b"content-length: ",
+            b"GET / HTTP/1.1",
+            b"12",
+            b"\r",
+        ];
+        let len = rng.gen_range(0..=20 * 1024usize);
+        let piece_share = rng.next_f64();
+        let mut garbage = Vec::with_capacity(len + 16);
+        while garbage.len() < len {
+            if rng.gen_bool(piece_share) {
+                garbage.extend_from_slice(PIECES[rng.gen_range(0..PIECES.len())]);
+            } else {
+                garbage.push(rng.gen());
+            }
+        }
+        garbage.truncate(len);
+        garbage
+    }
+
+    /// A request with a framing error, followed by a pipelined
+    /// `GET /health`: a `content-length` that is not all ASCII digits,
+    /// or a second one that differs from the first.
+    fn gen_framing_error(rng: &mut Rng) -> Vec<u8> {
+        let n = rng.gen_range(0..100usize);
+        let first = format!("content-length: {n}\r\n");
+        let bad = match rng.gen_range(0..6usize) {
+            0 => format!("content-length: +{n}\r\n"),
+            1 => format!("content-length: -{n}\r\n"),
+            2 => format!("content-length: {n}x\r\n"),
+            3 => format!("content-length: {n}, {n}\r\n"),
+            4 => format!(
+                "{first}Content-Length: {}\r\n",
+                n + rng.gen_range(1..10usize)
+            ),
+            _ => format!("content-length: 0x{n:x}\r\n"),
+        };
+        let body = "b".repeat(n);
+        format!("POST /solve HTTP/1.1\r\n{bad}\r\n{body}GET /health HTTP/1.1\r\n\r\n").into_bytes()
+    }
+
+    #[derive(Debug)]
+    struct Pipeline {
+        requests: Vec<(Vec<u8>, Request)>,
+        garbage: Vec<u8>,
+        /// A request whose line `long_line_at` runs past `MAX_LINE`.
+        long_line: (Vec<u8>, usize),
+        /// Headers that declare a body above `MAX_BODY`, the body
+        /// itself not sent.
+        oversized: Vec<u8>,
+        framing_error: Vec<u8>,
+    }
+
+    fn gen_pipeline(rng: &mut Rng) -> Pipeline {
+        let requests = (0..rng.gen_range(1..=3usize))
+            .map(|_| gen_request(rng))
+            .collect();
+        let garbage = gen_garbage(rng);
+        let long_len = MAX_LINE + rng.gen_range(0..64usize);
+        let long = ascii_from(rng, PATH_CHARS, long_len);
+        let long_line = if rng.gen_bool(0.5) {
+            (format!("GET /{long} HTTP/1.1\r\n\r\n").into_bytes(), 0)
+        } else {
+            let head = "GET / HTTP/1.1\r\naccept: */*\r\n";
+            (
+                format!("{head}x-long: {long}\r\n\r\n").into_bytes(),
+                head.len(),
+            )
+        };
+        let declared = MAX_BODY + 1 + rng.gen_range(0..1_000_000usize);
+        let oversized = format!(
+            "POST /solve HTTP/1.1\r\naccept: */*\r\n{}: {declared}\r\n",
+            mixed_case(rng, "content-length")
+        )
+        .into_bytes();
+        Pipeline {
+            requests,
+            garbage,
+            long_line,
+            oversized,
+            framing_error: gen_framing_error(rng),
+        }
+    }
+
+    #[test]
+    fn generated_pipelines_parse_alike_in_both_parsers() {
+        Checker::new("http_parser_pipelines").run(gen_pipeline, |case| {
+            let mut wire: Vec<u8> = case.requests.iter().flat_map(|(w, _)| w.clone()).collect();
+            wire.extend_from_slice(&case.garbage);
+            for cut in 0..case.requests[0].0.len() {
+                require!(
+                    matches!(try_parse_request(&wire[..cut]), Ok(Parsed::Incomplete)),
+                    "a {cut}-byte prefix of the first request is not Incomplete"
+                );
+            }
+            // Each request parses whole, as generated and as the
+            // blocking parser reads it, and leaves the next in place.
+            let mut blocking = &wire[..];
+            let mut pos = 0;
+            for (i, (bytes, expected)) in case.requests.iter().enumerate() {
+                let parsed = try_parse_request(&wire[pos..]);
+                let Ok(Parsed::Complete(request, consumed)) = parsed else {
+                    return Err(format!("request {i} did not parse: {parsed:?}"));
+                };
+                require_eq!(consumed, bytes.len(), "request {i} consumed");
+                require_eq!(&request, expected, "request {i}");
+                let read = read_request(&mut blocking).map_err(|e| format!("request {i}: {e}"))?;
+                require_eq!(read.as_ref(), Some(expected), "blocking request {i}");
+                pos += consumed;
+            }
+            // The garbage tail may parse or not, but never panics, and
+            // a parse never consumes more than the buffer holds.
+            let tail = &wire[pos..];
+            for k in 0..=8 {
+                let cut = tail.len() * k / 8;
+                if let Ok(Parsed::Complete(_, consumed)) = try_parse_request(&tail[..cut]) {
+                    require!(consumed <= cut, "consumed {consumed} of {cut} bytes");
+                }
+            }
+            let _ = read_request(&mut blocking);
+            // Limits fail on partial data, before the rest arrives.
+            let (long, at) = &case.long_line;
+            let (blocking, incremental) = both(&long[..at + MAX_LINE + 1]);
+            require!(is_malformed(&blocking), "long line, blocking: {blocking:?}");
+            require!(is_malformed(&incremental), "long line: {incremental:?}");
+            let (blocking, incremental) = both(&case.oversized);
+            require!(
+                is_malformed(&blocking),
+                "oversized body, blocking: {blocking:?}"
+            );
+            require!(
+                is_malformed(&incremental),
+                "oversized body: {incremental:?}"
+            );
+            let (blocking, incremental) = both(&case.framing_error);
+            require!(
+                is_malformed(&blocking),
+                "framing error, blocking: {blocking:?}"
+            );
+            require!(is_malformed(&incremental), "framing error: {incremental:?}");
+            Ok(())
+        });
     }
 
     #[test]

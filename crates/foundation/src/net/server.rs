@@ -1,9 +1,10 @@
-//! The event-loop server core: per-shard epoll loops own nonblocking
-//! connections as explicit state machines, and a bounded worker pool
-//! runs request handlers so CPU-heavy solves never stall the loops.
+//! The event-loop server core: one epoll loop owns the listener and
+//! every nonblocking connection as an explicit state machine, and a
+//! bounded worker pool runs request handlers so CPU-heavy solves never
+//! stall the loop.
 //!
 //! ```text
-//!            ┌────────────── per-shard event loop ──────────────┐
+//!            ┌─────────────────── event loop ───────────────────┐
 //!  accept ──▶│ Reading ──parse──▶ Handling ──complete──▶ Writing │──▶ close
 //!            │    ▲  (incremental)   (queued to          (flush, │
 //!            │    └──────────────── worker pool)   may block on  │
@@ -11,16 +12,13 @@
 //!            └──────────────────────────────────────────────────┘
 //! ```
 //!
-//! Each shard binds its own `SO_REUSEPORT` listener, so the kernel
-//! spreads incoming connections across loops with no shared accept
-//! lock. A connection belongs to exactly one shard for its lifetime;
-//! only that loop touches its buffers, which is what keeps responses
-//! on one connection strictly in request order.
+//! Only the loop touches a connection's buffers, which is what keeps
+//! responses on one connection strictly in request order.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -32,9 +30,9 @@ use super::poller::{Interest, PollEvent, Poller, Waker};
 use super::sys;
 use super::BoundedQueue;
 
-/// Poller token of a shard's listener.
+/// Poller token of the listener.
 const TOKEN_LISTENER: u64 = 0;
-/// Poller token of a shard's cross-thread waker.
+/// Poller token of the cross-thread waker.
 const TOKEN_WAKER: u64 = 1;
 /// First token handed to accepted connections.
 const FIRST_CONN_TOKEN: u64 = 2;
@@ -42,8 +40,6 @@ const FIRST_CONN_TOKEN: u64 = 2;
 const READ_CHUNK: usize = 16 * 1024;
 /// Poll timeout while draining, bounding shutdown-detection latency.
 const DRAIN_POLL: Duration = Duration::from_millis(20);
-/// Ceiling for auto-selected shard count (`ServerConfig::shards` = 0).
-const MAX_AUTO_SHARDS: usize = 8;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -54,12 +50,11 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Handler-queue capacity; beyond it requests get `503`.
     pub queue_capacity: usize,
-    /// Acceptor shards, each an event loop with its own
-    /// `SO_REUSEPORT` listener. 0 = auto (CPU threads, capped at 8).
-    pub shards: usize,
     /// How long a connection may sit on a partially received request
-    /// before being closed with `408` (slow-header defense). Idle
-    /// keep-alive connections with nothing buffered are exempt.
+    /// before being closed with `408` (slow-header defense), and how
+    /// long a partly flushed response may wait for the peer to read
+    /// more before the connection is closed (stalled-write defense).
+    /// Idle keep-alive connections with nothing buffered are exempt.
     pub read_deadline: Duration,
 }
 
@@ -69,7 +64,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
             workers: crate::par::num_threads(),
             queue_capacity: 128,
-            shards: 0,
             read_deadline: Duration::from_secs(10),
         }
     }
@@ -79,7 +73,7 @@ impl Default for ServerConfig {
 /// `open_connections`).
 #[derive(Debug, Default)]
 pub struct ServerStats {
-    /// Connections accepted across all shards.
+    /// Connections accepted.
     pub accepted: AtomicU64,
     /// Requests refused with `503` because the handler queue was full.
     pub rejected: AtomicU64,
@@ -94,25 +88,21 @@ pub struct ServerStats {
     pub timed_out: AtomicU64,
     /// Requests whose handler panicked (answered `500`).
     pub panics: AtomicU64,
+    /// Connections closed because a partly flushed response made no
+    /// progress within the read deadline.
+    pub write_timeouts: AtomicU64,
 }
 
 /// One handler invocation in flight from a loop to the worker pool.
 struct Job {
-    shard: usize,
     token: u64,
     request: Request,
 }
 
-/// A finished handler invocation on its way back to the owning loop.
+/// A finished handler invocation on its way back to the loop.
 struct Completion {
     token: u64,
     response: Response,
-}
-
-/// Per-shard mailbox: workers push completions and ring the waker.
-struct ShardState {
-    completions: Mutex<Vec<Completion>>,
-    waker: Waker,
 }
 
 struct Shared {
@@ -120,7 +110,9 @@ struct Shared {
     queue: BoundedQueue<Job>,
     stats: ServerStats,
     handler: Box<dyn Fn(&Request) -> Response + Send + Sync>,
-    shards: Vec<ShardState>,
+    /// The loop's mailbox: workers push completions and ring `waker`.
+    completions: Mutex<Vec<Completion>>,
+    waker: Waker,
     read_deadline: Duration,
 }
 
@@ -134,7 +126,7 @@ mod metrics {
     pub(super) fn accepted() -> &'static obs::Counter {
         crate::obs_counter!(
             "dwm_net_connections_accepted_total",
-            "Connections accepted across all acceptor shards"
+            "Connections accepted by the event loop"
         )
     }
 
@@ -188,10 +180,7 @@ mod metrics {
     }
 
     pub(super) fn open_conns() -> &'static obs::Gauge {
-        crate::obs_gauge!(
-            "dwm_net_open_connections",
-            "Connections currently open across all acceptor shards"
-        )
+        crate::obs_gauge!("dwm_net_open_connections", "Connections currently open")
     }
 
     pub(super) fn timeouts() -> &'static obs::Counter {
@@ -205,6 +194,13 @@ mod metrics {
         crate::obs_counter!(
             "dwm_net_handler_panics_total",
             "Requests whose handler panicked and were answered 500"
+        )
+    }
+
+    pub(super) fn write_timeouts() -> &'static obs::Counter {
+        crate::obs_counter!(
+            "dwm_net_write_timeouts_total",
+            "Connections closed after a partly flushed response made no progress within the read deadline"
         )
     }
 
@@ -222,6 +218,7 @@ mod metrics {
             open_conns(),
             timeouts(),
             handler_panics(),
+            write_timeouts(),
         );
     }
 }
@@ -239,7 +236,7 @@ enum ConnState {
     Writing,
 }
 
-/// One nonblocking connection owned by a shard's event loop.
+/// One nonblocking connection owned by the event loop.
 struct Conn {
     stream: TcpStream,
     state: ConnState,
@@ -256,7 +253,8 @@ struct Conn {
     registered: bool,
     /// The currently registered interest (skip redundant syscalls).
     interest: Interest,
-    /// Read deadline, armed only while a partial request is buffered.
+    /// Armed while a partial request is buffered, or while a partly
+    /// flushed response waits for the peer to read more.
     deadline: Option<Instant>,
 }
 
@@ -299,10 +297,9 @@ fn flush_outbuf(conn: &mut Conn) -> io::Result<bool> {
     Ok(true)
 }
 
-/// One shard: an epoll loop owning a `SO_REUSEPORT` listener, a waker,
-/// and every connection the kernel routed to this shard.
+/// The epoll loop: it owns the listener and every connection, and
+/// wakes on the shared waker to apply completions.
 struct EventLoop {
-    shard: usize,
     shared: Arc<Shared>,
     poller: Poller,
     listener: Option<TcpListener>,
@@ -311,8 +308,6 @@ struct EventLoop {
     /// Min-heap of `(deadline, token)`, lazily invalidated: an entry
     /// only fires if the conn still carries that exact deadline.
     deadlines: BinaryHeap<Reverse<(Instant, u64)>>,
-    shard_accepted: Arc<crate::obs::Counter>,
-    shard_open: Arc<crate::obs::Gauge>,
 }
 
 impl EventLoop {
@@ -374,13 +369,11 @@ impl EventLoop {
                     }
                     self.shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
                     metrics::accepted().inc();
-                    self.shard_accepted.inc();
                     self.shared
                         .stats
                         .open_connections
                         .fetch_add(1, Ordering::Relaxed);
                     metrics::open_conns().add_always(1);
-                    self.shard_open.add_always(1);
                     self.conns.insert(token, Conn::new(stream, interest));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
@@ -392,14 +385,14 @@ impl EventLoop {
 
     /// Drains the waker and applies completions workers published.
     fn on_wake(&mut self) {
-        self.shared.shards[self.shard].waker.drain();
-        let completions = {
-            let mut pending = self.shared.shards[self.shard]
+        self.shared.waker.drain();
+        let completions = std::mem::take(
+            &mut *self
+                .shared
                 .completions
                 .lock()
-                .expect("completions lock poisoned");
-            std::mem::take(&mut *pending)
-        };
+                .expect("completions lock poisoned"),
+        );
         for c in completions {
             self.on_completion(c.token, c.response);
         }
@@ -510,9 +503,7 @@ impl EventLoop {
                             // Partial request buffered: arm the
                             // slow-header deadline. Idle keep-alive
                             // (empty buffer) is deliberately exempt.
-                            let deadline = Instant::now() + self.shared.read_deadline;
-                            conn.deadline = Some(deadline);
-                            self.deadlines.push(Reverse((deadline, token)));
+                            self.arm_deadline(token, conn);
                         }
                         self.update_interest(token, conn, Interest::readable());
                         return Flow::Keep;
@@ -523,11 +514,7 @@ impl EventLoop {
                         conn.close_request = request.header("connection") == Some("close");
                         self.shared.stats.requests.fetch_add(1, Ordering::Relaxed);
                         metrics::requests().inc();
-                        let job = Job {
-                            shard: self.shard,
-                            token,
-                            request,
-                        };
+                        let job = Job { token, request };
                         match self.shared.queue.try_push(job) {
                             Ok(()) => {
                                 metrics::queue_depth().add_always(1);
@@ -567,46 +554,58 @@ impl EventLoop {
                     Err(NetError::Io(_)) => return Flow::Close,
                 },
                 ConnState::Handling => return Flow::Keep,
-                ConnState::Writing => match flush_outbuf(conn) {
-                    Ok(true) => {
-                        if conn.close_after
-                            || conn.peer_closed
-                            || self.shared.shutdown.load(Ordering::SeqCst)
-                        {
-                            return Flow::Close;
+                ConnState::Writing => {
+                    let sent = conn.outpos;
+                    match flush_outbuf(conn) {
+                        Ok(true) => {
+                            conn.deadline = None;
+                            if conn.close_after
+                                || conn.peer_closed
+                                || self.shared.shutdown.load(Ordering::SeqCst)
+                            {
+                                return Flow::Close;
+                            }
+                            conn.state = ConnState::Reading;
+                            conn.outbuf.clear();
+                            conn.outpos = 0;
+                            conn.close_request = false;
+                            // Loop: parse the pipelined tail, if any.
                         }
-                        conn.state = ConnState::Reading;
-                        conn.outbuf.clear();
-                        conn.outpos = 0;
-                        conn.close_request = false;
-                        // Loop: parse the pipelined tail, if any.
+                        Ok(false) => {
+                            // A peer that stops reading must not hold the
+                            // connection, or drain, forever: the deadline
+                            // runs from the last flush that made progress.
+                            if conn.outpos > sent || conn.deadline.is_none() {
+                                self.arm_deadline(token, conn);
+                            }
+                            self.update_interest(
+                                token,
+                                conn,
+                                Interest {
+                                    writable: true,
+                                    rdhup: !conn.peer_closed,
+                                    ..Interest::default()
+                                },
+                            );
+                            return Flow::Keep;
+                        }
+                        Err(_) => return Flow::Close,
                     }
-                    Ok(false) => {
-                        self.update_interest(
-                            token,
-                            conn,
-                            Interest {
-                                writable: true,
-                                rdhup: !conn.peer_closed,
-                                ..Interest::default()
-                            },
-                        );
-                        return Flow::Keep;
-                    }
-                    Err(_) => return Flow::Close,
-                },
+                }
             }
         }
     }
 
     /// Serializes `response` into the connection's output buffer and
-    /// moves it to `Writing`. The `connection:` header closes when the
-    /// request or server lifecycle demands it.
+    /// moves it to `Writing`, with no deadline until a flush stalls.
+    /// The `connection:` header closes when the request or server
+    /// lifecycle demands it.
     fn stage_response(&self, conn: &mut Conn, response: &Response, force_close: bool) {
         let close = force_close
             || conn.close_request
             || conn.peer_closed
             || self.shared.shutdown.load(Ordering::SeqCst);
+        conn.deadline = None;
         conn.outbuf.clear();
         conn.outpos = 0;
         response
@@ -614,6 +613,13 @@ impl EventLoop {
             .expect("serializing a response into a Vec cannot fail");
         conn.close_after = close;
         conn.state = ConnState::Writing;
+    }
+
+    /// Arms the connection's deadline `read_deadline` from now.
+    fn arm_deadline(&mut self, token: u64, conn: &mut Conn) {
+        let deadline = Instant::now() + self.shared.read_deadline;
+        conn.deadline = Some(deadline);
+        self.deadlines.push(Reverse((deadline, token)));
     }
 
     /// Registers or re-registers the fd so its watched interest
@@ -634,9 +640,11 @@ impl EventLoop {
         }
     }
 
-    /// Fires `408` on connections whose read deadline passed. Entries
-    /// are lazily invalidated: a completed parse clears
-    /// `conn.deadline`, orphaning its heap entry.
+    /// Acts on connections whose deadline passed: a partial request is
+    /// answered `408`; a stalled response is closed, since nothing can
+    /// follow a partial response. Entries are lazily invalidated: a
+    /// completed parse or flush clears `conn.deadline`, and a re-arm
+    /// replaces it, orphaning the old heap entry.
     fn expire_deadlines(&mut self) {
         let now = Instant::now();
         while let Some(&Reverse((when, token))) = self.deadlines.peek() {
@@ -652,7 +660,15 @@ impl EventLoop {
                 continue;
             }
             let mut conn = self.conns.remove(&token).expect("conn exists");
-            conn.deadline = None;
+            if conn.state == ConnState::Writing {
+                self.shared
+                    .stats
+                    .write_timeouts
+                    .fetch_add(1, Ordering::Relaxed);
+                metrics::write_timeouts().inc();
+                self.drop_conn(conn);
+                continue;
+            }
             self.shared.stats.timed_out.fetch_add(1, Ordering::Relaxed);
             metrics::timeouts().inc();
             self.stage_response(
@@ -669,7 +685,7 @@ impl EventLoop {
         }
     }
 
-    /// How long the next wait may block: until the nearest live read
+    /// How long the next wait may block: until the nearest live
     /// deadline, bounded by [`DRAIN_POLL`] while draining.
     fn next_timeout(&mut self, draining: bool) -> Option<Duration> {
         let pending = loop {
@@ -725,7 +741,6 @@ impl EventLoop {
             .open_connections
             .fetch_sub(1, Ordering::Relaxed);
         metrics::open_conns().add_always(-1);
-        self.shard_open.add_always(-1);
     }
 }
 
@@ -746,8 +761,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 Response::text(500, "handler panicked\n")
             })
         };
-        let shard = &shared.shards[job.shard];
-        shard
+        shared
             .completions
             .lock()
             .expect("completions lock poisoned")
@@ -755,7 +769,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 token: job.token,
                 response,
             });
-        shard.waker.wake();
+        shared.waker.wake();
     }
 }
 
@@ -779,14 +793,14 @@ impl std::fmt::Debug for ServerHandle {
 }
 
 impl Server {
-    /// Binds `config.addr` (one `SO_REUSEPORT` listener per shard) and
-    /// starts the event loops plus handler workers. `handler` must be
-    /// a pure function of the request for the service's determinism
-    /// guarantee to hold end to end.
+    /// Binds `config.addr` and starts the event loop plus handler
+    /// workers. `handler` must be a pure function of the request for
+    /// the service's determinism guarantee to hold end to end.
     ///
     /// # Errors
     ///
-    /// Propagates bind/poller-setup failures.
+    /// Propagates bind/poller-setup failures, including `AddrInUse`
+    /// when another socket already listens on the address.
     pub fn start<H>(config: ServerConfig, handler: H) -> io::Result<ServerHandle>
     where
         H: Fn(&Request) -> Response + Send + Sync + 'static,
@@ -796,82 +810,44 @@ impl Server {
         // fd budget — not a 1024 default soft limit — is the ceiling,
         // or a C10k hold would die at accept long before memory.
         sys::raise_nofile_limit();
-        let shard_count = if config.shards == 0 {
-            crate::par::num_threads().clamp(1, MAX_AUTO_SHARDS)
-        } else {
-            config.shards
-        };
 
-        let addr =
-            config.addr.to_socket_addrs()?.next().ok_or_else(|| {
-                io::Error::new(io::ErrorKind::InvalidInput, "unresolvable address")
-            })?;
-        let first = sys::bind_listener(&addr)?;
-        first.set_nonblocking(true)?;
-        let local_addr = first.local_addr()?;
-        let mut listeners = vec![first];
-        // Shard 0 resolved any ephemeral port; the rest share it.
-        for _ in 1..shard_count {
-            let listener = sys::bind_listener(&local_addr)?;
-            listener.set_nonblocking(true)?;
-            listeners.push(listener);
-        }
-
-        let mut shards = Vec::with_capacity(shard_count);
-        for _ in 0..shard_count {
-            shards.push(ShardState {
-                completions: Mutex::new(Vec::new()),
-                waker: Waker::new()?,
-            });
-        }
+        let listener = TcpListener::bind(config.addr.as_str())?;
+        sys::raise_backlog(&listener)?;
+        listener.set_nonblocking(true)?;
+        let local_addr = listener.local_addr()?;
+        let poller = Poller::new()?;
+        let waker = Waker::new()?;
+        poller.register(sys::raw_fd(&listener), TOKEN_LISTENER, Interest::readable())?;
+        poller.register(
+            waker.fd(),
+            TOKEN_WAKER,
+            Interest {
+                readable: true,
+                edge: true,
+                ..Interest::default()
+            },
+        )?;
         let shared = Arc::new(Shared {
             shutdown: AtomicBool::new(false),
             queue: BoundedQueue::new(config.queue_capacity),
             stats: ServerStats::default(),
             handler: Box::new(handler),
-            shards,
+            completions: Mutex::new(Vec::new()),
+            waker,
             read_deadline: config.read_deadline,
         });
 
-        let mut threads = Vec::new();
-        for (i, listener) in listeners.into_iter().enumerate() {
-            let poller = Poller::new()?;
-            poller.register(sys::raw_fd(&listener), TOKEN_LISTENER, Interest::readable())?;
-            poller.register(
-                shared.shards[i].waker.fd(),
-                TOKEN_WAKER,
-                Interest {
-                    readable: true,
-                    edge: true,
-                    ..Interest::default()
-                },
-            )?;
-            let shard_label = i.to_string();
-            let event_loop = EventLoop {
-                shard: i,
-                shared: Arc::clone(&shared),
-                poller,
-                listener: Some(listener),
-                conns: HashMap::new(),
-                next_token: FIRST_CONN_TOKEN,
-                deadlines: BinaryHeap::new(),
-                shard_accepted: crate::obs::global().counter_with(
-                    "dwm_net_shard_accepted_total",
-                    &[("shard", &shard_label)],
-                    "Connections accepted by this acceptor shard",
-                ),
-                shard_open: crate::obs::global().gauge_with(
-                    "dwm_net_shard_open_connections",
-                    &[("shard", &shard_label)],
-                    "Connections currently open on this acceptor shard",
-                ),
-            };
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("dwm-net-loop-{i}"))
-                    .spawn(move || event_loop.run())?,
-            );
-        }
+        let event_loop = EventLoop {
+            shared: Arc::clone(&shared),
+            poller,
+            listener: Some(listener),
+            conns: HashMap::new(),
+            next_token: FIRST_CONN_TOKEN,
+            deadlines: BinaryHeap::new(),
+        };
+        let mut threads = vec![std::thread::Builder::new()
+            .name("dwm-net-loop".to_owned())
+            .spawn(move || event_loop.run())?];
         for i in 0..config.workers.max(1) {
             let worker = Arc::clone(&shared);
             threads.push(
@@ -905,9 +881,7 @@ impl ServerHandle {
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.queue.close();
-        for shard in &self.shared.shards {
-            shard.waker.wake();
-        }
+        self.shared.waker.wake();
     }
 
     /// Whether shutdown has been signalled.
@@ -915,7 +889,7 @@ impl ServerHandle {
         self.shared.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Waits for every event loop and worker to exit. Call
+    /// Waits for the event loop and every worker to exit. Call
     /// [`shutdown`](Self::shutdown) first, or this blocks forever.
     pub fn join(mut self) {
         for t in self.threads.drain(..) {

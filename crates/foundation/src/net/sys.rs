@@ -1,8 +1,8 @@
 //! Raw Linux syscall bindings for the readiness-based server core.
 //!
 //! The workspace is hermetic — no `libc` crate — so the handful of
-//! syscalls the event loop needs (`epoll_*`, `eventfd`, and a
-//! `SO_REUSEPORT` socket/bind/listen path) are declared here directly,
+//! syscalls the event loop needs (`epoll_*`, `eventfd`, and `listen`
+//! to raise the listener's backlog) are declared here directly,
 //! following the same `extern "C"` pattern as `crate` signal handling
 //! in `dwm-serve`. All `unsafe` is confined to this module, one
 //! syscall per wrapper, each with its SAFETY argument. The module is
@@ -10,9 +10,9 @@
 //! abstraction and [`raise_nofile_limit`], not the raw calls.
 
 use std::io;
-use std::net::{IpAddr, SocketAddr, TcpListener};
+use std::net::TcpListener;
 use std::os::raw::{c_int, c_uint, c_void};
-use std::os::unix::io::{AsRawFd, FromRawFd};
+use std::os::unix::io::AsRawFd;
 
 /// Raw fd of any `AsRawFd` type.
 pub(crate) fn raw_fd<T: AsRawFd>(t: &T) -> i32 {
@@ -36,14 +36,6 @@ const EPOLL_CLOEXEC: c_int = 0o200_0000;
 const EFD_CLOEXEC: c_int = 0o200_0000;
 const EFD_NONBLOCK: c_int = 0o4000;
 
-const AF_INET: c_int = 2;
-const AF_INET6: c_int = 10;
-const SOCK_STREAM: c_int = 1;
-const SOCK_CLOEXEC: c_int = 0o200_0000;
-const SOCK_NONBLOCK: c_int = 0o4000;
-const SOL_SOCKET: c_int = 1;
-const SO_REUSEADDR: c_int = 2;
-const SO_REUSEPORT: c_int = 15;
 const LISTEN_BACKLOG: c_int = 1024;
 
 const RLIMIT_NOFILE: c_int = 7;
@@ -65,26 +57,6 @@ struct Rlimit {
     max: u64,
 }
 
-/// `struct sockaddr_in`, byte-array fields so network byte order
-/// is explicit at the construction site.
-#[repr(C)]
-struct SockAddrIn {
-    family: u16,
-    port: [u8; 2],
-    addr: [u8; 4],
-    zero: [u8; 8],
-}
-
-/// `struct sockaddr_in6`.
-#[repr(C)]
-struct SockAddrIn6 {
-    family: u16,
-    port: [u8; 2],
-    flowinfo: u32,
-    addr: [u8; 16],
-    scope_id: u32,
-}
-
 extern "C" {
     fn epoll_create1(flags: c_int) -> c_int;
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
@@ -98,15 +70,6 @@ extern "C" {
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
     fn close(fd: c_int) -> c_int;
-    fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
-    fn setsockopt(
-        fd: c_int,
-        level: c_int,
-        optname: c_int,
-        optval: *const c_void,
-        optlen: u32,
-    ) -> c_int;
-    fn bind(fd: c_int, addr: *const c_void, addrlen: u32) -> c_int;
     fn listen(fd: c_int, backlog: c_int) -> c_int;
     fn getrlimit(resource: c_int, rlim: *mut Rlimit) -> c_int;
     fn setrlimit(resource: c_int, rlim: *const Rlimit) -> c_int;
@@ -180,83 +143,13 @@ pub fn close_fd(fd: i32) {
     let _ = unsafe { close(fd) };
 }
 
-/// Binds a nonblocking listener with `SO_REUSEPORT`, so every
-/// acceptor shard binds its own socket on one port and the kernel
-/// spreads incoming connections across them. Shard 0 may carry port 0;
-/// the caller re-resolves the real port via `local_addr` before
-/// binding the rest.
-pub(crate) fn bind_listener(addr: &SocketAddr) -> io::Result<TcpListener> {
-    let domain = match addr.ip() {
-        IpAddr::V4(_) => AF_INET,
-        IpAddr::V6(_) => AF_INET6,
-    };
-    // SAFETY: no pointers; returns a new fd or -1.
-    let fd = check(unsafe { socket(domain, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0) })?;
-    let result = (|| {
-        let one: c_int = 1;
-        for opt in [SO_REUSEADDR, SO_REUSEPORT] {
-            // SAFETY: optval points at a live c_int of the stated
-            // length.
-            check(unsafe {
-                setsockopt(
-                    fd,
-                    SOL_SOCKET,
-                    opt,
-                    (&one as *const c_int).cast(),
-                    std::mem::size_of::<c_int>() as u32,
-                )
-            })?;
-        }
-        match *addr {
-            SocketAddr::V4(v4) => {
-                let sa = SockAddrIn {
-                    family: AF_INET as u16,
-                    port: v4.port().to_be_bytes(),
-                    addr: v4.ip().octets(),
-                    zero: [0; 8],
-                };
-                // SAFETY: `sa` is a properly laid-out sockaddr_in
-                // and the length matches its size.
-                check(unsafe {
-                    bind(
-                        fd,
-                        (&sa as *const SockAddrIn).cast(),
-                        std::mem::size_of::<SockAddrIn>() as u32,
-                    )
-                })?;
-            }
-            SocketAddr::V6(v6) => {
-                let sa = SockAddrIn6 {
-                    family: AF_INET6 as u16,
-                    port: v6.port().to_be_bytes(),
-                    flowinfo: v6.flowinfo(),
-                    addr: v6.ip().octets(),
-                    scope_id: v6.scope_id(),
-                };
-                // SAFETY: `sa` is a properly laid-out sockaddr_in6
-                // and the length matches its size.
-                check(unsafe {
-                    bind(
-                        fd,
-                        (&sa as *const SockAddrIn6).cast(),
-                        std::mem::size_of::<SockAddrIn6>() as u32,
-                    )
-                })?;
-            }
-        }
-        // SAFETY: no pointers.
-        check(unsafe { listen(fd, LISTEN_BACKLOG) })?;
-        Ok(())
-    })();
-    match result {
-        // SAFETY: `fd` is a fresh, valid listening socket whose
-        // ownership transfers to the TcpListener.
-        Ok(()) => Ok(unsafe { TcpListener::from_raw_fd(fd) }),
-        Err(e) => {
-            close_fd(fd);
-            Err(e)
-        }
-    }
+/// Raises the backlog of a listening socket to 1024 pending
+/// connections. `TcpListener::bind` listens with a backlog of 128, and
+/// Linux applies the backlog of a repeated `listen` to the socket.
+pub(crate) fn raise_backlog(listener: &TcpListener) -> io::Result<()> {
+    // SAFETY: no pointers; `listener` owns the fd for the whole call.
+    check(unsafe { listen(listener.as_raw_fd(), LISTEN_BACKLOG) })?;
+    Ok(())
 }
 
 /// Best-effort bump of `RLIMIT_NOFILE` soft → hard. Returns the soft

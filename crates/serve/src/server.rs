@@ -57,7 +57,8 @@ pub struct ServeConfig {
     pub cluster: usize,
     /// Slow-header cutoff: a connection sitting on a partial request
     /// longer than this is answered `408` and closed. Idle keep-alive
-    /// connections are exempt.
+    /// connections are exempt. A response the peer stops reading for
+    /// this long has its connection closed.
     pub read_deadline: Duration,
 }
 
@@ -169,7 +170,6 @@ pub fn start(config: ServeConfig) -> io::Result<ServeHandle> {
             addr: config.addr,
             workers: config.workers.max(1),
             queue_capacity: config.queue_capacity.max(1),
-            shards: 0,
             read_deadline: config.read_deadline,
         },
         move |req| {

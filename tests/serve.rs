@@ -1065,8 +1065,7 @@ fn event_loop_metric_families_cover_the_transport_stats() {
         "dwm_net_readiness_queue_depth",
         "dwm_net_open_connections",
         "dwm_net_read_timeouts_total",
-        r#"dwm_net_shard_accepted_total{shard="0"}"#,
-        r#"dwm_net_shard_open_connections{shard="0"}"#,
+        "dwm_net_write_timeouts_total",
     ] {
         assert!(text.contains(family), "family {family} missing:\n{text}");
     }
