@@ -25,8 +25,11 @@ fn main() {
         // A batch of independent rows→graph builds (the step every
         // solve takes from a digest), fanned over the workers, so the
         // t1/t4 medians show both the single-build cost and that
-        // building parallelizes trivially.
-        let batch = [&digest, &digest, &digest, &digest];
+        // building parallelizes trivially. At least four builds, one
+        // per t4 worker, and at least 1024 items in all: `bench_gate.sh`
+        // bounds the dispatch cost of a parallel call by the 64-item
+        // point's t1/t4, which needs tens of µs of work at t1.
+        let batch = vec![&digest; (1024 / n).max(4)];
         h.bench_threads(&format!("graph/csr_build/{n}"), || {
             par::par_map(&batch, |d| black_box(d).to_graph().num_edges())
         });

@@ -54,13 +54,6 @@ impl MultiStart {
             refiner: LocalSearch::default(),
         }
     }
-
-    /// Replaces the annealer template (e.g. to shrink the iteration
-    /// budget per restart).
-    pub fn with_annealer(mut self, annealer: SimulatedAnnealing) -> Self {
-        self.annealer = annealer;
-        self
-    }
 }
 
 impl PlacementAlgorithm for MultiStart {

@@ -284,16 +284,6 @@ impl Grid2d {
             col_cost: 1,
         }
     }
-
-    /// Grid with explicit per-axis step costs.
-    pub fn with_costs(rows: usize, cols: usize, row_cost: u64, col_cost: u64) -> Self {
-        Grid2d {
-            rows: rows.max(1),
-            cols: cols.max(1),
-            row_cost,
-            col_cost,
-        }
-    }
 }
 
 impl TrackTopology for Grid2d {

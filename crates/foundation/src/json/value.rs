@@ -117,14 +117,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// The value as a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The value as a number, if it is one.
     pub fn as_number(&self) -> Option<Number> {
         match self {

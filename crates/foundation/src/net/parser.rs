@@ -138,14 +138,16 @@ fn read_line<R: BufRead>(r: &mut R) -> Result<Option<String>, NetError> {
 }
 
 /// Parses a `name: value` header line, folding the name to lower case
-/// and enforcing the `content-length` rules shared by the blocking and
-/// incremental parsers: ASCII digits only (`usize::from_str` would
-/// also take a leading `+`), at most [`MAX_BODY`], and a repeated
-/// header must repeat the first value (RFC 9112 §6.3: anything else
-/// leaves the body's end ambiguous).
+/// and recording a `content-length` in `content_length` under the rule
+/// every message reader shares: ASCII digits only (`usize::from_str`
+/// would also take a leading `+`), and a repeated header must repeat
+/// the first value (RFC 9112 §6.3: anything else leaves the body's end
+/// ambiguous). Requests also cap the length at [`MAX_BODY`]; responses
+/// pass `usize::MAX`.
 fn parse_header(
     line: &str,
     content_length: &mut Option<usize>,
+    max_body: usize,
 ) -> Result<(String, String), NetError> {
     let Some((name, value)) = line.split_once(':') else {
         return Err(NetError::Malformed(format!("bad header line {line:?}")));
@@ -160,7 +162,7 @@ fn parse_header(
         if content_length.is_some_and(|first| first != length) {
             return Err(NetError::Malformed("conflicting content-length".into()));
         }
-        if length > MAX_BODY {
+        if length > max_body {
             return Err(NetError::Malformed("body too large".into()));
         }
         *content_length = Some(length);
@@ -203,7 +205,7 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Option<Request>, NetError> 
         if headers.len() >= MAX_HEADERS {
             return Err(NetError::Malformed("too many headers".into()));
         }
-        headers.push(parse_header(&line, &mut content_length)?);
+        headers.push(parse_header(&line, &mut content_length, MAX_BODY)?);
     }
     let mut body = vec![0u8; content_length.unwrap_or(0)];
     r.read_exact(&mut body)?;
@@ -277,7 +279,7 @@ pub fn try_parse_request(buf: &[u8]) -> Result<Parsed, NetError> {
             return Err(NetError::Malformed("too many headers".into()));
         }
         let line = line.to_owned();
-        headers.push(parse_header(&line, &mut content_length)?);
+        headers.push(parse_header(&line, &mut content_length, MAX_BODY)?);
     }
     let content_length = content_length.unwrap_or(0);
     if buf.len() < pos + content_length {
@@ -384,6 +386,8 @@ impl Response {
 }
 
 /// Reads one response off `r` (client side). `Ok(None)` on clean EOF.
+/// The `content-length` rule is [`read_request`]'s, without its body
+/// cap.
 ///
 /// # Errors
 ///
@@ -398,7 +402,7 @@ pub fn read_response<R: BufRead>(r: &mut R) -> Result<Option<Response>, NetError
         .and_then(|s| s.parse::<u16>().ok())
         .ok_or_else(|| NetError::Malformed(format!("bad status line {status_line:?}")))?;
     let mut headers = Vec::new();
-    let mut content_length = 0usize;
+    let mut content_length = None;
     loop {
         let Some(line) = read_line(r)? else {
             return Err(NetError::Malformed("EOF in headers".into()));
@@ -406,19 +410,9 @@ pub fn read_response<R: BufRead>(r: &mut R) -> Result<Option<Response>, NetError
         if line.is_empty() {
             break;
         }
-        let Some((name, value)) = line.split_once(':') else {
-            return Err(NetError::Malformed(format!("bad header line {line:?}")));
-        };
-        let name = name.trim().to_ascii_lowercase();
-        let value = value.trim().to_owned();
-        if name == "content-length" {
-            content_length = value
-                .parse()
-                .map_err(|_| NetError::Malformed(format!("bad content-length {value:?}")))?;
-        }
-        headers.push((name, value));
+        headers.push(parse_header(&line, &mut content_length, usize::MAX)?);
     }
-    let mut body = vec![0u8; content_length];
+    let mut body = vec![0u8; content_length.unwrap_or(0)];
     r.read_exact(&mut body)?;
     Ok(Some(Response {
         status,
@@ -538,6 +532,22 @@ mod tests {
             (request.body.as_slice(), consumed),
             (&b"hello"[..], wire.len())
         );
+    }
+
+    #[test]
+    fn responses_take_the_request_content_length_rule() {
+        // `usize::from_str` would read a 2-byte body here.
+        let signed = b"HTTP/1.1 200 OK\r\ncontent-length: +2\r\n\r\nok";
+        let verdict = read_response(&mut &signed[..]);
+        assert!(is_malformed(&verdict), "{verdict:?}");
+        // Last-one-wins would read an empty body and leave `ok` on the
+        // stream as the start of the next response.
+        let conflicting = b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\ncontent-length: 0\r\n\r\nok";
+        let verdict = read_response(&mut &conflicting[..]);
+        assert!(is_malformed(&verdict), "{verdict:?}");
+        let repeated = b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\nContent-Length: 2\r\n\r\nok";
+        let response = read_response(&mut &repeated[..]).unwrap().unwrap();
+        assert_eq!(response.body, b"ok");
     }
 
     /// Lowercase names the generator draws header names from.

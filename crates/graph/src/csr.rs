@@ -3,26 +3,26 @@
 //! [`AccessGraph`] stores its rows in compressed sparse row form, so
 //! every solver walks flat neighbour slices. [`ArrangementEval`] layers
 //! incremental cost evaluation on top: it tracks a placement and its
-//! arrangement cost, answers `O(deg(a) + deg(b))` swap deltas and
-//! `O(deg(x))` relocate deltas, and applies/undoes moves while keeping
-//! the running total exact — no full recompute ever. The arithmetic
-//! matches the historical per-algorithm delta code term for term, so
-//! rewiring a solver onto the evaluator cannot change its decisions
-//! (see `tests/csr_equivalence.rs`).
+//! arrangement cost, answers `O(deg(a) + deg(b))` swap deltas, and
+//! applies/undoes swaps while keeping the running total exact — no
+//! full recompute ever. The arithmetic matches the historical
+//! per-algorithm delta code term for term, so rewiring a solver onto
+//! the evaluator cannot change its decisions (see
+//! `tests/csr_equivalence.rs`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::graph::AccessGraph;
 
-/// Global counter of incremental delta evaluations (swap, relocate)
-/// answered by [`ArrangementEval`] — the denominator of every solver's
+/// Global counter of incremental swap-delta evaluations answered by
+/// [`ArrangementEval`] — the denominator of every solver's
 /// moves-per-evaluation story. Evaluators count into a per-evaluator
 /// relaxed atomic (uncontended unless the *same* evaluator is shared
 /// across threads) and flush to the global counter once on drop.
 pub(crate) fn delta_eval_counter() -> &'static dwm_foundation::obs::Counter {
     dwm_foundation::obs_counter!(
         "dwm_graph_eval_delta_evals_total",
-        "Incremental cost-delta evaluations (swap/relocate) answered by ArrangementEval"
+        "Incremental swap-delta evaluations answered by ArrangementEval"
     )
 }
 
@@ -42,35 +42,18 @@ impl AccessGraph {
     }
 }
 
-/// One reversible move recorded by [`ArrangementEval`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Move {
-    /// Items `a` and `b` exchanged slots; cost changed by `delta`.
-    Swap { a: usize, b: usize, delta: i64 },
-    /// The item that was at slot `from` moved to slot `to` (the block
-    /// in between shifted by one); cost changed by `delta`.
-    Relocate { from: usize, to: usize, delta: i64 },
-}
-
 /// Incremental arrangement-cost evaluator over an [`AccessGraph`].
 ///
 /// Holds a position assignment (item → slot, plus the inverse), the
-/// exact running arrangement cost, and an undo log. Deltas are queries
-/// ([`swap_delta`], [`relocate_delta`]); `apply_*` commits a move and
-/// updates the total without re-walking the graph; [`undo`] reverses
-/// the most recent move. The running total always equals
+/// exact running arrangement cost, and an undo log. [`swap_delta`] is
+/// a query; [`apply_swap_with_delta`] commits a swap and updates the
+/// total without re-walking the graph; [`undo`] reverses the most
+/// recent swap. The running total always equals
 /// `graph.arrangement_cost(positions())` — enforced by the property
 /// suite — so a full recompute is never needed after construction.
 ///
-/// Relocation deltas use the *cut identity*: the arrangement cost
-/// equals the sum over slot boundaries `i` of the weight crossing
-/// between slots `≤ i` and `> i`. The boundary-cut array is built
-/// lazily on the first relocation query (`O(n + E)`), kept current
-/// across relocations in `O(deg + span)`, and simply dropped by swaps
-/// — swap-only consumers such as annealing never pay for it.
-///
 /// [`swap_delta`]: ArrangementEval::swap_delta
-/// [`relocate_delta`]: ArrangementEval::relocate_delta
+/// [`apply_swap_with_delta`]: ArrangementEval::apply_swap_with_delta
 /// [`undo`]: ArrangementEval::undo
 #[derive(Debug)]
 pub struct ArrangementEval<'g> {
@@ -84,31 +67,12 @@ pub struct ArrangementEval<'g> {
     item_at: Vec<usize>,
     /// Exact running arrangement cost.
     total: u64,
-    /// Boundary cuts (`cuts[i]` = weight crossing boundary `i`),
-    /// lazily materialised for relocation queries.
-    cuts: Option<Vec<u64>>,
-    /// Applied moves, most recent last.
-    log: Vec<Move>,
+    /// Applied swaps `(a, b, delta)`, most recent last.
+    log: Vec<(usize, usize, i64)>,
     /// Delta evaluations not yet flushed to [`delta_eval_counter`].
     /// Atomic (not `Cell`) so read-only delta queries may be shared
     /// across threads; relaxed and usually uncontended.
     delta_evals: AtomicU64,
-}
-
-impl Clone for ArrangementEval<'_> {
-    fn clone(&self) -> Self {
-        ArrangementEval {
-            graph: self.graph,
-            pos: self.pos.clone(),
-            item_at: self.item_at.clone(),
-            total: self.total,
-            cuts: self.cuts.clone(),
-            log: self.log.clone(),
-            // The original still owns (and will flush) its pending
-            // count; the clone starts a tally of its own.
-            delta_evals: AtomicU64::new(0),
-        }
-    }
 }
 
 impl Drop for ArrangementEval<'_> {
@@ -144,7 +108,6 @@ impl<'g> ArrangementEval<'g> {
             pos,
             item_at,
             total,
-            cuts: None,
             log: Vec::new(),
             delta_evals: AtomicU64::new(0),
         }
@@ -179,7 +142,7 @@ impl<'g> ArrangementEval<'g> {
         &self.pos[..self.item_at.len()]
     }
 
-    /// Number of applied moves available to [`undo`](Self::undo).
+    /// Number of applied swaps available to [`undo`](Self::undo).
     #[inline]
     pub fn log_len(&self) -> usize {
         self.log.len()
@@ -257,222 +220,22 @@ impl<'g> ArrangementEval<'g> {
             .total
             .checked_add_signed(delta)
             .expect("cost underflow");
-        // Every boundary cut between the two slots changes; drop the
-        // lazy array instead of re-walking the span (swap consumers
-        // never query cuts, relocate consumers rebuild on demand).
-        self.cuts = None;
-        self.log.push(Move::Swap { a, b, delta });
+        self.log.push((a, b, delta));
     }
 
-    /// Computes the swap delta, commits the swap, and returns the
-    /// delta. `O(deg(a) + deg(b))`.
-    pub fn apply_swap(&mut self, a: usize, b: usize) -> i64 {
-        let delta = self.swap_delta(a, b);
-        self.apply_swap_with_delta(a, b, delta);
-        delta
-    }
-
-    /// Cost change of moving the item at slot `from` to slot `to`,
-    /// shifting the block in between by one slot towards `from`.
-    /// `O(deg(item))` once the boundary-cut array is materialised
-    /// (first call after construction or a swap: `O(n + E)`).
-    pub fn relocate_delta(&mut self, from: usize, to: usize) -> i64 {
-        if from == to {
-            return 0;
-        }
-        self.delta_evals.fetch_add(1, Ordering::Relaxed);
-        self.ensure_cuts();
-        let x = self.item_at[from];
-        let (lo, hi) = (from.min(to), from.max(to));
-        // Own edges of x: recompute each incident distance directly,
-        // accounting for the block's one-slot shift towards `from`.
-        let mut own = 0i64;
-        // x's weight to the two unshifted regions (slots < lo, > hi).
-        let (mut w_before, mut w_after) = (0i64, 0i64);
-        let (vs, ws) = self.graph.neighbor_slices(x);
-        for (&v, &w) in vs.iter().zip(ws) {
-            let pv = self.pos[v as usize];
-            if pv < lo {
-                w_before += w as i64;
-            } else if pv > hi {
-                w_after += w as i64;
-            }
-            let pv_new = if to > from && pv > from && pv <= to {
-                pv - 1
-            } else if to < from && pv >= to && pv < from {
-                pv + 1
-            } else {
-                pv
-            } as i64;
-            own += w as i64 * ((to as i64 - pv_new).abs() - (from as i64 - pv as i64).abs());
-        }
-        // Block term: every block item shifts one slot towards `from`,
-        // so in-block distances are preserved and only edges leaving
-        // the span [lo, hi] change, by ±1 each. Their net weight
-        // telescopes to two boundary cuts minus x's own crossings:
-        //   Σ_{y∈block} (w(y, far side) − w(y, near side))
-        //     = cut(hi) − cut(lo − 1) − w(x, > hi) + w(x, < lo),
-        // signed by the direction of the move.
-        let cuts = self.cuts.as_ref().expect("materialised above");
-        let outer = cut_at(cuts, hi as i64) as i64;
-        let inner = cut_at(cuts, lo as i64 - 1) as i64;
-        let block = outer - inner - w_after + w_before;
-        own + if to > from { block } else { -block }
-    }
-
-    /// Commits the relocation of the item at slot `from` to slot `to`
-    /// with the caller's already-computed delta. `O(deg(item) + span)`.
-    pub fn apply_relocate_with_delta(&mut self, from: usize, to: usize, delta: i64) {
-        debug_assert_eq!(delta, self.relocate_delta(from, to), "stale relocate delta");
-        self.commit_relocate(from, to, delta);
-        self.log.push(Move::Relocate { from, to, delta });
-    }
-
-    /// Computes the relocation delta, commits it, and returns the
-    /// delta. `O(deg(item) + span)` once cuts are materialised.
-    pub fn apply_relocate(&mut self, from: usize, to: usize) -> i64 {
-        let delta = self.relocate_delta(from, to);
-        self.apply_relocate_with_delta(from, to, delta);
-        delta
-    }
-
-    /// Reverses the most recently applied move. Returns `false` when
+    /// Reverses the most recently applied swap. Returns `false` when
     /// the log is empty.
     pub fn undo(&mut self) -> bool {
-        match self.log.pop() {
-            Some(Move::Swap { a, b, delta }) => {
-                self.pos.swap(a, b);
-                self.item_at.swap(self.pos[a], self.pos[b]);
-                self.total = self
-                    .total
-                    .checked_add_signed(-delta)
-                    .expect("cost underflow");
-                self.cuts = None;
-                true
-            }
-            Some(Move::Relocate { from, to, delta }) => {
-                // The inverse relocation: the moved item now sits at
-                // `to`; send it back to `from`.
-                self.commit_relocate(to, from, -delta);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Boundary cut at `i`: total weight crossing between slots `≤ i`
-    /// and `> i` (valid `i`: `0..n − 1`). Materialises the cut array on
-    /// first use. The cut identity gives `Σ_i boundary_cut(i) ==
-    /// total()`, which the property suite checks.
-    pub fn boundary_cut(&mut self, i: usize) -> u64 {
-        self.ensure_cuts();
-        self.cuts.as_ref().expect("materialised above")[i]
-    }
-
-    fn ensure_cuts(&mut self) {
-        if self.cuts.is_some() {
-            return;
-        }
-        let n = self.graph.num_items();
-        // cut(i) − cut(i − 1) = deg(u_i) − 2·w(u_i, slots < i): the item
-        // entering the prefix adds its outward weight and converts its
-        // inward weight from crossing to internal.
-        let mut cuts = vec![0u64; n.saturating_sub(1)];
-        let mut running = 0i64;
-        for (i, cut) in cuts.iter_mut().enumerate() {
-            let u = self.item_at[i];
-            let mut w_in = 0i64;
-            let (vs, ws) = self.graph.neighbor_slices(u);
-            for (&v, &w) in vs.iter().zip(ws) {
-                if self.pos[v as usize] < i {
-                    w_in += w as i64;
-                }
-            }
-            running += self.graph.degree(u) as i64 - 2 * w_in;
-            *cut = u64::try_from(running).expect("negative cut");
-        }
-        self.cuts = Some(cuts);
-    }
-
-    /// Moves `item_at[from]` to `to`, rotating the block in between,
-    /// and updates positions, total, and (when materialised) the cut
-    /// array. Does not touch the log.
-    fn commit_relocate(&mut self, from: usize, to: usize, delta: i64) {
-        if let Some(cuts) = self.cuts.take() {
-            self.cuts = Some(self.shifted_cuts(cuts, from, to));
-        }
-        let x = self.item_at[from];
-        if to > from {
-            for slot in from..to {
-                self.item_at[slot] = self.item_at[slot + 1];
-                self.pos[self.item_at[slot]] = slot;
-            }
-        } else {
-            for slot in (to..from).rev() {
-                self.item_at[slot + 1] = self.item_at[slot];
-                self.pos[self.item_at[slot + 1]] = slot + 1;
-            }
-        }
-        self.item_at[to] = x;
-        self.pos[x] = to;
+        let Some((a, b, delta)) = self.log.pop() else {
+            return false;
+        };
+        self.pos.swap(a, b);
+        self.item_at.swap(self.pos[a], self.pos[b]);
         self.total = self
             .total
-            .checked_add_signed(delta)
+            .checked_add_signed(-delta)
             .expect("cost underflow");
-    }
-
-    /// The boundary-cut array after relocating `item_at[from]` to `to`.
-    /// Called with *pre-move* positions. Only boundaries inside the
-    /// span change: for `to > from`, the new prefix at boundary
-    /// `i ∈ [from, to)` is the old prefix at `i + 1` minus the moved
-    /// item, so `cut'(i) = cut(i + 1) − deg(x) + 2·w(x, old slots ≤
-    /// i + 1, minus x)`; symmetrically for `to < from`. `O(deg(x) +
-    /// span)` via one incremental sweep over x's neighbour slots.
-    fn shifted_cuts(&self, mut cuts: Vec<u64>, from: usize, to: usize) -> Vec<u64> {
-        let x = self.item_at[from];
-        let degx = self.graph.degree(x) as i64;
-        let (lo, hi) = (from.min(to), from.max(to));
-        // Bucket x's neighbour weights by old slot across the span.
-        let mut at_slot = vec![0i64; hi - lo + 1];
-        let mut w_below = 0i64; // w(x, slots < lo)
-        let (vs, ws) = self.graph.neighbor_slices(x);
-        for (&v, &w) in vs.iter().zip(ws) {
-            let pv = self.pos[v as usize];
-            if pv < lo {
-                w_below += w as i64;
-            } else if pv <= hi {
-                at_slot[pv - lo] += w as i64;
-            }
-        }
-        if to > from {
-            // wx tracks w(x, old slots ≤ i + 1, minus x) as i sweeps up.
-            let mut wx = w_below;
-            for i in from..to {
-                wx += at_slot[i + 1 - lo];
-                let old = cut_at(&cuts, i as i64 + 1) as i64;
-                cuts[i] = u64::try_from(old - degx + 2 * wx).expect("negative cut");
-            }
-        } else {
-            // wx tracks w(x, old slots ≤ i − 1) as i sweeps down; at
-            // the top of the span that is w(x, old slots < from).
-            let mut wx: i64 = w_below + at_slot.iter().sum::<i64>() - at_slot[from - lo];
-            for i in (to..from).rev() {
-                wx -= at_slot[i - lo];
-                let old = cut_at(&cuts, i as i64 - 1) as i64;
-                cuts[i] = u64::try_from(old + degx - 2 * wx).expect("negative cut");
-            }
-        }
-        cuts
-    }
-}
-
-/// Boundary-cut lookup with the natural out-of-range extension
-/// (`cut(−1) = cut(n − 1) = 0`: empty side, nothing crosses).
-fn cut_at(cuts: &[u64], i: i64) -> u64 {
-    if i < 0 || i as usize >= cuts.len() {
-        0
-    } else {
-        cuts[i as usize]
+        true
     }
 }
 
@@ -523,48 +286,17 @@ mod tests {
     }
 
     #[test]
-    fn relocate_delta_matches_recomputation() {
-        let g = random_graph(13, 13);
-        let mut rng = Rng::seed_from_u64(4);
-        let pos = random_positions(13, &mut rng);
-        let mut eval = ArrangementEval::new(&g, &pos);
-        for from in 0..13 {
-            for to in 0..13 {
-                // Reference: rebuild the moved position vector.
-                let mut order: Vec<usize> = (0..13).map(|s| eval.item_at(s)).collect();
-                let x = order.remove(from);
-                order.insert(to, x);
-                let mut moved = vec![0usize; 13];
-                for (slot, &item) in order.iter().enumerate() {
-                    moved[item] = slot;
-                }
-                let expect = g.arrangement_cost(&moved) as i64 - eval.total() as i64;
-                assert_eq!(eval.relocate_delta(from, to), expect, "move {from}->{to}");
-            }
-        }
-    }
-
-    #[test]
     fn apply_and_undo_round_trip() {
         let g = random_graph(19, 17);
         let mut rng = Rng::seed_from_u64(6);
         let pos = random_positions(19, &mut rng);
         let mut eval = ArrangementEval::new(&g, &pos);
         let mut totals = vec![eval.total()];
-        for step in 0..60 {
-            if step % 3 == 0 {
-                let from = rng.gen_range(0usize..19);
-                let to = rng.gen_range(0usize..19);
-                eval.apply_relocate(from, to);
-            } else {
-                let a = rng.gen_range(0usize..19);
-                let b = rng.gen_range(0usize..19);
-                if a != b {
-                    eval.apply_swap(a, b);
-                } else {
-                    eval.apply_relocate(a, b);
-                }
-            }
+        for _ in 0..60 {
+            let a = rng.gen_range(0usize..19);
+            let b = rng.gen_range(0usize..19);
+            let delta = eval.swap_delta(a, b);
+            eval.apply_swap_with_delta(a, b, delta);
             assert_eq!(eval.total(), g.arrangement_cost(eval.positions()));
             totals.push(eval.total());
         }
@@ -575,24 +307,6 @@ mod tests {
         }
         assert_eq!(eval.positions(), &pos[..]);
         assert_eq!(eval.log_len(), 0);
-    }
-
-    #[test]
-    fn boundary_cuts_sum_to_total() {
-        let g = random_graph(21, 19);
-        let mut rng = Rng::seed_from_u64(8);
-        let pos = random_positions(21, &mut rng);
-        let mut eval = ArrangementEval::new(&g, &pos);
-        let sum: u64 = (0..20).map(|i| eval.boundary_cut(i)).sum();
-        assert_eq!(sum, eval.total());
-        // And the array stays consistent across relocations.
-        for _ in 0..20 {
-            let from = rng.gen_range(0usize..21);
-            let to = rng.gen_range(0usize..21);
-            eval.apply_relocate(from, to);
-            let sum: u64 = (0..20).map(|i| eval.boundary_cut(i)).sum();
-            assert_eq!(sum, eval.total());
-        }
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //! The defining invariant — pinned by the property suite — is that a
 //! delta graph fed a stream incrementally is *indistinguishable* from
 //! an [`AccessGraph`] rebuilt from scratch over the whole stream:
-//! every query agrees, [`to_access_graph`](DeltaGraph::to_access_graph)
-//! is structurally equal (`==`), and a refrozen base equals the
-//! rebuilt graph field for field, regardless of how the stream was
-//! chunked or when refreezes happened.
+//! [`to_access_graph`](DeltaGraph::to_access_graph) is structurally
+//! equal (`==`), the arrangement cost and fingerprint agree, and a
+//! refrozen base equals the rebuilt graph field for field, regardless
+//! of how the stream was chunked or when refreezes happened.
 
 use std::collections::BTreeMap;
 
@@ -40,10 +40,6 @@ pub struct DeltaGraph {
     frequency: Vec<u64>,
     /// Distinct undirected edges present in the overlay.
     overlay_edges: usize,
-    /// Total weight accumulated in the overlay.
-    overlay_weight: u64,
-    /// Overlay edges absent from the base (so `num_edges` stays `O(1)`).
-    new_edges: usize,
     /// Refreezes performed over this graph's lifetime.
     refreezes: u64,
 }
@@ -51,19 +47,11 @@ pub struct DeltaGraph {
 impl DeltaGraph {
     /// An edgeless delta graph over `n` items.
     pub fn new(n: usize) -> Self {
-        DeltaGraph::from_graph(&AccessGraph::with_items(n))
-    }
-
-    /// Starts from an existing graph: `graph` becomes the base and the
-    /// overlay starts empty.
-    pub fn from_graph(graph: &AccessGraph) -> Self {
         DeltaGraph {
-            base: graph.clone(),
-            overlay: vec![BTreeMap::new(); graph.num_items()],
-            frequency: graph.frequencies().to_vec(),
+            base: AccessGraph::with_items(n),
+            overlay: vec![BTreeMap::new(); n],
+            frequency: vec![0; n],
             overlay_edges: 0,
-            overlay_weight: 0,
-            new_edges: 0,
             refreezes: 0,
         }
     }
@@ -72,11 +60,6 @@ impl DeltaGraph {
     /// refreeze.
     pub fn num_items(&self) -> usize {
         self.overlay.len()
-    }
-
-    /// Number of distinct edges across base and overlay.
-    pub fn num_edges(&self) -> usize {
-        self.base.num_edges() + self.new_edges
     }
 
     /// Grows the item space to at least `n` vertices (new vertices are
@@ -102,67 +85,17 @@ impl DeltaGraph {
             u < self.overlay.len() && v < self.overlay.len(),
             "vertex out of range"
         );
-        let (ku, kv) = (u as u32, v as u32);
-        let absent_in_base = self.base_weight(u, v) == 0;
-        let entry = self.overlay[u].entry(kv).or_insert(0);
+        let entry = self.overlay[u].entry(v as u32).or_insert(0);
         if *entry == 0 {
             self.overlay_edges += 1;
-            if absent_in_base {
-                self.new_edges += 1;
-            }
         }
         *entry += w;
-        *self.overlay[v].entry(ku).or_insert(0) += w;
-        self.overlay_weight += w;
+        *self.overlay[v].entry(u as u32).or_insert(0) += w;
     }
 
     /// Increments item `i`'s access count.
     pub fn record_access(&mut self, i: usize) {
         self.frequency[i] += 1;
-    }
-
-    /// Weight of edge `{u, v}` across base and overlay (0 if absent).
-    pub fn weight(&self, u: usize, v: usize) -> u64 {
-        self.base_weight(u, v)
-            + self
-                .overlay
-                .get(u)
-                .and_then(|m| m.get(&(v as u32)))
-                .copied()
-                .unwrap_or(0)
-    }
-
-    fn base_weight(&self, u: usize, v: usize) -> u64 {
-        if u < self.base.num_items() && v < self.base.num_items() {
-            self.base.weight(u, v)
-        } else {
-            0
-        }
-    }
-
-    /// Weighted degree of vertex `u` across base and overlay.
-    pub fn degree(&self, u: usize) -> u64 {
-        let base = if u < self.base.num_items() {
-            self.base.degree(u)
-        } else {
-            0
-        };
-        base + self.overlay[u].values().sum::<u64>()
-    }
-
-    /// Access count of item `i`.
-    pub fn frequency(&self, i: usize) -> u64 {
-        self.frequency.get(i).copied().unwrap_or(0)
-    }
-
-    /// All per-item access counts.
-    pub fn frequencies(&self) -> &[u64] {
-        &self.frequency
-    }
-
-    /// Sum of all edge weights across base and overlay.
-    pub fn total_weight(&self) -> u64 {
-        self.base.total_weight() + self.overlay_weight
     }
 
     /// Distinct edges currently in the overlay — the refreeze trigger.
@@ -244,8 +177,6 @@ impl DeltaGraph {
         self.base = self.to_access_graph();
         self.overlay = vec![BTreeMap::new(); self.base.num_items()];
         self.overlay_edges = 0;
-        self.overlay_weight = 0;
-        self.new_edges = 0;
         self.refreezes += 1;
     }
 
@@ -335,15 +266,6 @@ mod tests {
         for cadence in [0usize, 1, 7, 100] {
             let (delta, scratch) = feed(&stream, cadence);
             assert_eq!(delta.num_items(), scratch.num_items());
-            assert_eq!(delta.num_edges(), scratch.num_edges(), "cadence {cadence}");
-            assert_eq!(delta.total_weight(), scratch.total_weight());
-            for u in 0..scratch.num_items() {
-                assert_eq!(delta.degree(u), scratch.degree(u), "degree {u}");
-                assert_eq!(delta.frequency(u), scratch.frequency(u));
-                for v in 0..scratch.num_items() {
-                    assert_eq!(delta.weight(u, v), scratch.weight(u, v));
-                }
-            }
             assert_eq!(delta.to_access_graph(), scratch, "cadence {cadence}");
             assert_eq!(
                 delta.fingerprint(),
@@ -387,7 +309,11 @@ mod tests {
         assert!(delta.maybe_refreeze(2));
         assert_eq!(delta.overlay_edges(), 0);
         assert_eq!(delta.refreezes(), 1);
-        assert_eq!(delta.weight(0, 1), 1, "weight survives the refreeze");
+        assert_eq!(
+            delta.to_access_graph().weight(0, 1),
+            1,
+            "weight survives the refreeze"
+        );
     }
 
     #[test]
@@ -397,14 +323,15 @@ mod tests {
         delta.refreeze();
         delta.ensure_items(5);
         assert_eq!(delta.num_items(), 5);
-        assert_eq!(delta.degree(4), 0);
+        assert_eq!(delta.to_access_graph().degree(4), 0);
         delta.add_weight(1, 4, 2);
-        assert_eq!(delta.weight(4, 1), 2);
-        assert_eq!(delta.weight(0, 1), 4);
+        let graph = delta.to_access_graph();
+        assert_eq!(graph.weight(4, 1), 2);
+        assert_eq!(graph.weight(0, 1), 4);
         // A refreeze folds the grown item space into the base.
         delta.refreeze();
         assert_eq!(delta.base().num_items(), 5);
-        assert_eq!(delta.total_weight(), 6);
+        assert_eq!(delta.base().total_weight(), 6);
     }
 
     #[test]

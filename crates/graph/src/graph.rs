@@ -20,11 +20,10 @@ pub struct Edge {
 /// are stored contiguously in ascending vertex order, so iteration is
 /// deterministic (required for reproducible placements) and every
 /// solver's inner loop walks flat arrays instead of chasing pointers.
-/// Weighted degrees, the total edge weight, interleaved
-/// `(weight, neighbour)` rows and (for `n ≤ 64`) per-edge cut masks
-/// are derived once at construction; the graph is immutable after
-/// that. Streaming consumers that need to add weight over time use
-/// [`DeltaGraph`](crate::DeltaGraph).
+/// Weighted degrees, the total edge weight and interleaved
+/// `(weight, neighbour)` rows are derived once at construction; the
+/// graph is immutable after that. Streaming consumers that need to add
+/// weight over time use [`DeltaGraph`](crate::DeltaGraph).
 ///
 /// Every graph is assembled in one place from already-sorted rows, fed
 /// by [`GraphDigest::to_graph`] (and through it
@@ -45,10 +44,6 @@ pub struct AccessGraph {
     degree: Vec<u64>,
     /// Cached sum of all (undirected) edge weights.
     total_weight: u64,
-    /// Per-edge endpoint bitmasks `(1 << u) | (1 << v)` with weights,
-    /// for cut queries without re-deriving endpoints. Only built for
-    /// `n ≤ 64` (the exact DP's domain); empty otherwise.
-    cut_pairs: Vec<(u64, u64)>,
     /// Interleaved `(weight << 32) | neighbor` rows, parallel to
     /// `neighbors`, built when every weight fits in 32 bits (always
     /// true for trace-derived counts). The swap-delta walk then reads
@@ -125,8 +120,8 @@ impl AccessGraph {
     /// Assembles a graph from already-flattened rows (ascending
     /// neighbours per vertex, each undirected edge present from both
     /// endpoints) and per-item frequencies. Every cache — degrees,
-    /// total weight, cut masks, the interleaved rows — is derived here
-    /// and nowhere else.
+    /// total weight, the interleaved rows — is derived here and
+    /// nowhere else.
     pub(crate) fn from_parts(
         row_offsets: Vec<u32>,
         neighbors: Vec<u32>,
@@ -148,20 +143,6 @@ impl AccessGraph {
             }
             degree.push(deg);
         }
-        let cut_pairs = if n <= 64 {
-            (0..n)
-                .flat_map(|u| {
-                    let (lo, hi) = (row_offsets[u] as usize, row_offsets[u + 1] as usize);
-                    neighbors[lo..hi]
-                        .iter()
-                        .zip(&weights[lo..hi])
-                        .filter(move |(&v, _)| (u as u32) < v)
-                        .map(move |(&v, &w)| ((1u64 << u) | (1u64 << v), w))
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
         let packed = if weights.iter().all(|&w| w <= u64::from(u32::MAX)) {
             neighbors
                 .iter()
@@ -177,7 +158,6 @@ impl AccessGraph {
             weights,
             degree,
             total_weight,
-            cut_pairs,
             packed,
             frequency,
         }
@@ -295,31 +275,6 @@ impl AccessGraph {
         }
         cost
     }
-
-    /// Weight of the cut between `set` (a bitmask over vertices, valid
-    /// for `n ≤ 64`) and its complement. Used by the exact DP, whose
-    /// instances are capped well below 64 items.
-    ///
-    /// Uses the per-edge endpoint masks precomputed at construction: an
-    /// edge crosses the cut iff exactly one of its endpoint bits is in
-    /// `set`, so each edge costs two bit ops.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph has more than 64 items.
-    pub fn cut_weight_mask(&self, set: u64) -> u64 {
-        assert!(
-            self.num_items() <= 64,
-            "cut_weight_mask requires n <= 64 (bitmask domain)"
-        );
-        let mut cut = 0;
-        for &(mask, w) in &self.cut_pairs {
-            if (set & mask).count_ones() == 1 {
-                cut += w;
-            }
-        }
-        cut
-    }
 }
 
 #[cfg(test)]
@@ -414,17 +369,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_edge_rejected() {
         AccessGraph::from_edges(vec![0; 3], [(0, 3, 1)]);
-    }
-
-    #[test]
-    fn cut_weight_mask_counts_crossing_edges() {
-        let g = diamond();
-        // set = {0,1}: crossing edges 1-2 (1) and 0-3 (1).
-        assert_eq!(g.cut_weight_mask(0b0011), 2);
-        // set = {0}: crossing 0-1 (5) and 0-3 (1).
-        assert_eq!(g.cut_weight_mask(0b0001), 6);
-        assert_eq!(g.cut_weight_mask(0b1111), 0);
-        assert_eq!(g.cut_weight_mask(0), 0);
     }
 
     #[test]

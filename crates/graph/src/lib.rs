@@ -20,8 +20,8 @@
 //! ids or any dense id sequence), an edge list
 //! ([`AccessGraph::from_edges`]), or a [`DeltaGraph`] refreeze (the
 //! streaming route). [`ArrangementEval`] answers incremental
-//! arrangement-cost deltas over it, and [`fn@fingerprint`] gives the
-//! canonical 128-bit workload identity.
+//! arrangement-cost deltas of swaps over it, and [`fn@fingerprint`]
+//! gives the canonical 128-bit workload identity.
 //!
 //! # Example
 //!

@@ -469,10 +469,10 @@ pub fn run_sessions(config: &LoadConfig, sessions: usize) -> std::io::Result<Loa
         .collect();
 
     // A control connection creates every session up front, then
-    // closes before any client connects: the server parks one worker
-    // per live keep-alive connection, so holding the control
-    // connection open across the streaming phase would starve the
-    // clients on a daemon with few workers.
+    // closes before any client connects, so the streaming phase runs
+    // over the client connections alone. Holding it open would cost
+    // the daemon one idle connection (a file descriptor) and no
+    // worker: workers serve requests, not connections.
     let mut session_ids: Vec<(String, usize)> = Vec::new(); // (id, stream)
     {
         let mut create_body = String::from(r#"{"window":256,"migration_shifts_per_item":8"#);

@@ -721,9 +721,10 @@ mod tests {
         assert_eq!(s.raw_ids(), &[1000, 5, 7]);
         assert_eq!(s.num_items(), 3);
         assert_eq!(s.placement(), &[0, 1, 2]);
-        assert_eq!(s.graph().weight(0, 1), 2); // 1000↔5 adjacent twice
-        assert_eq!(s.graph().weight(0, 2), 1); // 1000↔7 once
-        assert_eq!(s.graph().frequency(0), 2);
+        let graph = s.graph().to_access_graph();
+        assert_eq!(graph.weight(0, 1), 2); // 1000↔5 adjacent twice
+        assert_eq!(graph.weight(0, 2), 1); // 1000↔7 once
+        assert_eq!(graph.frequency(0), 2);
     }
 
     #[test]

@@ -31,20 +31,14 @@ impl ReuseProfile {
         let mut histogram: Vec<u64> = Vec::new();
         let mut cold = 0u64;
         for a in trace.iter() {
-            match stack.iter().rposition(|&x| x == a.item.0) {
-                Some(pos) => {
-                    let distance = stack.len() - 1 - pos;
+            match lru_touch(&mut stack, a.item.0) {
+                Some(distance) => {
                     if histogram.len() <= distance {
                         histogram.resize(distance + 1, 0);
                     }
                     histogram[distance] += 1;
-                    stack.remove(pos);
-                    stack.push(a.item.0);
                 }
-                None => {
-                    cold += 1;
-                    stack.push(a.item.0);
-                }
+                None => cold += 1,
             }
         }
         ReuseProfile {
@@ -83,6 +77,18 @@ impl ReuseProfile {
         let hits: u64 = self.histogram.iter().take(d).sum();
         hits as f64 / total as f64
     }
+}
+
+/// Moves `id` to the top (the end) of the LRU `stack`, pushing it on a
+/// first touch. Returns its reuse distance — the number of distinct
+/// ids touched since its previous touch — when it was already present.
+pub(crate) fn lru_touch(stack: &mut Vec<u32>, id: u32) -> Option<usize> {
+    let distance = stack.iter().rev().position(|&x| x == id);
+    if let Some(d) = distance {
+        stack.remove(stack.len() - 1 - d);
+    }
+    stack.push(id);
+    distance
 }
 
 /// Sizes of the working set (distinct items) over fixed-length windows.

@@ -293,6 +293,8 @@ impl ProfileBuilder {
             self.stride_sum += u64::from(prev.abs_diff(id));
         }
         self.prev = Some(id);
+        // `analysis::lru_touch`'s step, written out: the profiler's hot
+        // loop measured slower through the helper (`trace/profile_1M`).
         match self.stack.iter().rposition(|&x| x == id) {
             Some(pos) => {
                 let distance = (self.stack.len() - 1 - pos) as u64;

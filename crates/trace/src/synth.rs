@@ -11,6 +11,7 @@ use dwm_foundation::rng::Zipf;
 use dwm_foundation::Rng;
 
 use crate::access::{Access, AccessKind, Trace};
+use crate::analysis::lru_touch;
 use crate::profile::{bucket_lo, TraceProfile};
 
 /// A source of synthetic traces.
@@ -494,15 +495,6 @@ impl ProfiledStream {
         let hi = bucket_lo(b + 1).min(max);
         lo + self.rng.gen_range(0..(hi - lo).max(1) as usize) as u64
     }
-
-    /// Moves `rank` to the stack top (or introduces it), preserving the
-    /// recency order locality draws index into.
-    fn touch(&mut self, rank: u32) {
-        if let Some(pos) = self.stack.iter().rposition(|&x| x == rank) {
-            self.stack.remove(pos);
-        }
-        self.stack.push(rank);
-    }
 }
 
 #[derive(Clone, Copy)]
@@ -552,7 +544,8 @@ impl Iterator for ProfiledStream {
                 self.sample_bucketed(Which::Rank, self.items as u64) as u32
             };
             if self.locality > 0.0 {
-                self.touch(rank);
+                // Keep the recency order locality draws index into.
+                lru_touch(&mut self.stack, rank);
             }
             rank
         };

@@ -75,7 +75,7 @@ PAIR=(--pair serve/serve/solve_hit serve/serve/solve_hit_obs_off
       --pair serve/serve/solve_hit_idle_load serve/serve/solve_hit_lane_quiet
       --pair-threshold "${DWM_BENCH_OBS_THRESHOLD:-0.05}")
 
-# Same-run dispatch ceiling: graph/csr_build/64 builds four 64-item
+# Same-run dispatch ceiling: graph/csr_build/64 builds sixteen 64-item
 # graphs from their digest rows through one par_map, tens of us of
 # work at t1, so its /t4 twin is dominated by what dispatching a
 # parallel call costs. t4 may take at
