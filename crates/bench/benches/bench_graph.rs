@@ -7,6 +7,12 @@
 //! consumers whose medians the regression gate tracks: greedy insertion
 //! (the former worst offender), simulated annealing, and windowed local
 //! search.
+//!
+//! `graph/digest/48x2400` and `graph/digest/256x8192` time
+//! `GraphDigest::from_ids` (dense ids, edge counts, rows) on 32
+//! distinct Zipf id sequences in turn, of a cached solve's shape and of
+//! a miss's: the first is counted in the dense matrix, the second in
+//! buckets.
 
 use dwm_bench::{markov_fixture, BENCH_SEED};
 use dwm_core::{AnytimeSolver, SimulatedAnnealing, Tier};
@@ -18,6 +24,20 @@ use dwm_trace::synth::{TraceGenerator, ZipfGen};
 
 fn main() {
     let mut h = Harness::from_env("graph");
+    for (items, len) in [(48usize, 2400usize), (256, 8192)] {
+        let workloads: Vec<Vec<u32>> = (0..32)
+            .map(|k| {
+                let trace = ZipfGen::new(items, BENCH_SEED + k).generate(len);
+                trace.iter().map(|a| a.item.index() as u32).collect()
+            })
+            .collect();
+        let mut next = 0;
+        h.bench(&format!("graph/digest/{items}x{len}"), || {
+            next = (next + 1) % workloads.len();
+            black_box(GraphDigest::from_ids(&workloads[next]))
+        });
+    }
+
     for n in [64usize, 256, 1024] {
         let (trace, graph) = markov_fixture(n);
         let digest = GraphDigest::from_dense(n, trace.iter().map(|a| a.item.index()));

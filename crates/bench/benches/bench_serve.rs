@@ -12,6 +12,11 @@
 //! solve_hit_obs_off` at 1.05x, proving observability costs < 5%.
 //! `serve/metrics_scrape` times a full `GET /metrics` render.
 //!
+//! `serve/decode_body` times the first layer of a cached solve alone:
+//! `decode_body` of 32 distinct 48×2400 hybrid bodies in turn, the
+//! shape and count of the bodies bench_e2e's `solve_hit` cycles
+//! through.
+//!
 //! `serve/session_ingest` (S19) times one 256-access chunk through the
 //! transport-free streaming-session path: dense id remap, delta-graph
 //! updates, phase detection, and one window-boundary decision per
@@ -37,6 +42,7 @@ use dwm_foundation::net::Request;
 use dwm_foundation::obs;
 use dwm_graph::AccessGraph;
 use dwm_serve::client::ClientConn;
+use dwm_serve::protocol::decode_body;
 use dwm_serve::{start, Engine, ServeConfig};
 use dwm_trace::synth::{TraceGenerator, ZipfGen};
 
@@ -97,6 +103,17 @@ fn main() {
             },
         );
     }
+
+    // The decode layer of a hit, over distinct bodies in turn so no
+    // one body's bytes stay hot in the branch predictor.
+    let hit_bodies: Vec<Vec<u8>> = (0..32)
+        .map(|k| tiered_body(r#""algorithm":"hybrid","#, 48, 2400, BENCH_SEED + k).into_bytes())
+        .collect();
+    let mut next = 0;
+    h.bench("serve/decode_body", || {
+        next = (next + 1) % hit_bodies.len();
+        black_box(decode_body(&hit_bodies[next]).is_ok())
+    });
 
     // Prometheus render of the engine + global registries.
     {

@@ -90,6 +90,10 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
 }
 
 /// A `[…]` of integers read by [`Parser::u32_array`].
+///
+/// The same array gives the same `U32Array` whichever route read each
+/// element: the 8-byte scan for short plain integers or the element
+/// grammar for everything else.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct U32Array {
     /// The elements in order, up to the read's limit and stopping
@@ -101,6 +105,59 @@ pub struct U32Array {
     /// `0..=u32::MAX`, judged as [`Number::as_u64`] judges it (so `3.0`,
     /// `1e1` and `-0` are valid).
     pub first_invalid: Option<usize>,
+}
+
+impl U32Array {
+    /// Counts one element, `None` if it is not a `u32`. It is kept only
+    /// while no earlier element was invalid and fewer than `limit` are
+    /// kept; the buffer doubles from 16 but never grows past `limit`.
+    fn record(&mut self, value: Option<u32>, limit: usize) {
+        match value {
+            Some(v) if self.first_invalid.is_none() && self.values.len() < limit => {
+                if self.values.len() == self.values.capacity() {
+                    let grown = (self.values.capacity() * 2).max(16).min(limit);
+                    self.values.reserve_exact(grown - self.values.len());
+                }
+                self.values.push(v);
+            }
+            Some(_) => {}
+            None => {
+                self.first_invalid.get_or_insert(self.len);
+            }
+        }
+        self.len += 1;
+    }
+}
+
+/// `b'0'` in every byte of a word.
+const ZEROS: u64 = 0x3030_3030_3030_3030;
+
+/// The value of the `len` (1–7) ASCII digits in the low bytes of
+/// `word` (first digit lowest, as a little-endian load puts them),
+/// with no per-digit branch: XOR with [`ZEROS`] turns each digit into
+/// its value, the shift moves the digits to the top of the word (the
+/// bytes below become leading zeros of an 8-digit number and the bytes
+/// after the digits fall off), and three multiply-shifts fold
+/// neighbouring lanes (`10·a + b` in 16 bits, `100·a + b` in 32,
+/// `10000·a + b` in 64).
+fn swar_digits(word: u64, len: usize) -> u32 {
+    let v = (word ^ ZEROS) << (8 * (8 - len));
+    let v = (v & 0x0F0F_0F0F_0F0F_0F0F).wrapping_mul((10 << 8) + 1) >> 8;
+    let v = (v & 0x00FF_00FF_00FF_00FF).wrapping_mul((100 << 16) + 1) >> 16;
+    let v = (v & 0x0000_FFFF_0000_FFFF).wrapping_mul((10_000 << 32) + 1) >> 32;
+    v as u32
+}
+
+/// How many of `word`'s low bytes are ASCII digits before the first
+/// that is not (8 if all are). Per byte, after XOR with [`ZEROS`] a
+/// digit is a value below 10: adding `0x76` to its low 7 bits sets bit
+/// 7 exactly for 10 and up (no carry can cross into the next byte), and
+/// a byte of 0x80 or more has bit 7 set already.
+fn leading_digits(word: u64) -> usize {
+    let d = word ^ ZEROS;
+    let non_digit =
+        (((d & 0x7F7F_7F7F_7F7F_7F7F) + 0x7676_7676_7676_7676) | d) & 0x8080_8080_8080_8080;
+    non_digit.trailing_zeros() as usize / 8
 }
 
 /// The recursive-descent parser behind [`parse`], also usable as a
@@ -229,15 +286,22 @@ impl<'a> Parser<'a> {
     /// Reads one array of integers straight into `u32`s, without
     /// keeping a [`Value`] per element.
     ///
-    /// Each element is read as [`Parser::value`] reads it (plain
-    /// integers through its fast path, without building a `Value`) and
-    /// kept only as a `u32`. At most
-    /// `limit` values are kept (the buffer never grows past it), but
-    /// every element is still read and counted, so a too-long array
-    /// reports its true length. Storing also stops at the first element
-    /// that is not a `u32`, whose index is recorded. Syntax errors
-    /// anywhere in the array are reported exactly as [`parse`] reports
-    /// them.
+    /// After each element, a run of `,<digits>` closed by `,` or `]`
+    /// is scanned 8 bytes at a time: one load per element, 1–7 digits
+    /// with no leading zero, counted and valued without a per-digit
+    /// branch. Every other element (whitespace around it, a sign, a
+    /// fraction or exponent, more digits, fewer than 8 bytes left) is
+    /// read as [`Parser::value`] reads it (plain integers through its
+    /// fast path, without building a `Value`) and kept only as a `u32`.
+    /// Both routes consume exactly the tokens the grammar accepts, so
+    /// which one reads an element changes nothing.
+    ///
+    /// At most `limit` values are kept (the buffer never grows past
+    /// it), but every element is still read and counted, so a too-long
+    /// array reports its true length. Storing also stops at the first
+    /// element that is not a `u32`, whose index is recorded. Syntax
+    /// errors anywhere in the array are reported exactly as [`parse`]
+    /// reports them.
     ///
     /// # Errors
     ///
@@ -260,23 +324,42 @@ impl<'a> Parser<'a> {
                     _ => None,
                 },
             };
-            match value {
-                Some(v) if out.first_invalid.is_none() && out.values.len() < limit => {
-                    if out.values.len() == out.values.capacity() {
-                        let grown = (out.values.capacity() * 2).max(16).min(limit);
-                        out.values.reserve_exact(grown - out.values.len());
-                    }
-                    out.values.push(v);
-                }
-                Some(_) => {}
-                None => {
-                    out.first_invalid.get_or_insert(out.len);
-                }
-            }
-            out.len += 1;
+            out.record(value, limit);
+            // An element was just read at this depth, so its siblings
+            // pass the depth rule too.
+            p.scan_short_integers(&mut out, limit);
             Ok(())
         })?;
         Ok(out)
+    }
+
+    /// The scan of [`Parser::u32_array`]: while a `,` is followed by
+    /// 1–7 digits, with no leading zero, then `,` or `]`, all within
+    /// the 8 bytes after the comma, consumes the comma and the digits
+    /// and records their value in `out`. It stops, position untouched,
+    /// at anything else, which is left to the element grammar.
+    fn scan_short_integers(&mut self, out: &mut U32Array, limit: usize) {
+        // The position stays in a local: every element's load depends
+        // on where the last one ended, so that chain is the loop's cost.
+        let mut pos = self.pos;
+        while let Some(window) = self.bytes.get(pos..pos + 9) {
+            let word = u64::from_le_bytes(window[1..].try_into().unwrap());
+            let len = leading_digits(word);
+            // One branch for the whole test: ids of one and two digits
+            // alternate at random, so a branch on the length would often
+            // be mispredicted.
+            let close = (word >> (8 * (len & 7))) as u8;
+            let plain = (window[0] == b',')
+                & (len.wrapping_sub(1) < 7)
+                & ((len == 1) | (window[1] != b'0'))
+                & ((close == b',') | (close == b']'));
+            if !plain {
+                break;
+            }
+            pos += 1 + len;
+            out.record(Some(swar_digits(word, len)), limit);
+        }
+        self.pos = pos;
     }
 
     /// The integer fast path of [`Parser::value`]: a plain run of 1–19
@@ -619,6 +702,9 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::Checker;
+    use crate::rng::Rng;
+    use crate::{require, require_eq};
 
     #[test]
     fn parses_scalars() {
@@ -842,6 +928,135 @@ mod tests {
             assert!(out.values.capacity() <= limit, "limit {limit}");
             assert!(out.values.iter().enumerate().all(|(i, &v)| v == i as u32));
         }
+    }
+
+    /// One array element: mostly integers of 1–20 digits, log-uniform
+    /// (so 8–10-digit ids and the values around `u32::MAX` and
+    /// `u64::MAX` occur), otherwise a token the scan must leave to the
+    /// element grammar.
+    fn number_token(rng: &mut Rng) -> String {
+        const EDGES: [&str; 10] = [
+            "0",
+            "9999999",
+            "10000000",
+            "99999999",
+            "4294967295",
+            "4294967296",
+            "9999999999",
+            "18446744073709551615",
+            "18446744073709551616",
+            "99999999999999999999",
+        ];
+        const ODD: [&str; 24] = [
+            "00",
+            "01",
+            "007",
+            "-0",
+            "-1",
+            "-01",
+            "-",
+            "-4294967295",
+            "1.5",
+            "3.0",
+            "1.",
+            "1e1",
+            "2E+2",
+            "5e-1",
+            "1e",
+            "0.0",
+            "-0.0",
+            "1e400",
+            "\"7\"",
+            "[]",
+            "[1,2]",
+            "[[3]]",
+            "{\"a\":1}",
+            "null",
+        ];
+        match rng.gen_range(0..8) {
+            0..=4 => {
+                let digits = rng.gen_range(1..=20usize);
+                let mut token = rng.gen_range(1..=9u32).to_string();
+                for _ in 1..digits {
+                    token.push(char::from(b'0' + rng.gen_range(0..10u8)));
+                }
+                token
+            }
+            5 => EDGES[rng.gen_range(0..EDGES.len())].to_owned(),
+            _ => ODD[rng.gen_range(0..ODD.len())].to_owned(),
+        }
+    }
+
+    /// An array of 0–100 [`number_token`]s, usually written compactly
+    /// (as clients send ids) and sometimes with whitespace around
+    /// tokens, then sometimes cut or given one inserted byte, either
+    /// anywhere or within its last 8 bytes. Paired with a `limit` of 0,
+    /// 1, a mid-array value or `usize::MAX`.
+    fn arb_number_array(rng: &mut Rng) -> (String, usize) {
+        const WS: [&str; 4] = [" ", "\n", "\t", "\r\n "];
+        let spaced = rng.gen_bool(0.25);
+        let ws = |rng: &mut Rng| {
+            if spaced && rng.gen_bool(0.5) {
+                WS[rng.gen_range(0..WS.len())]
+            } else {
+                ""
+            }
+        };
+        let n = rng.gen_range(0..=100usize);
+        let tokens: Vec<String> = (0..n)
+            .map(|_| format!("{}{}{}", ws(rng), number_token(rng), ws(rng)))
+            .collect();
+        let mut input = format!("{}[{}]{}", ws(rng), tokens.join(","), ws(rng)).into_bytes();
+        let at = |rng: &mut Rng, len: usize| {
+            if rng.gen_bool(0.5) {
+                rng.gen_range(len.saturating_sub(8)..=len)
+            } else {
+                rng.gen_range(0..=len)
+            }
+        };
+        match rng.gen_range(0..4) {
+            0 => {
+                let cut = at(rng, input.len());
+                input.truncate(cut);
+            }
+            1 => {
+                const NOISE: &[u8] = b"[]{},:\"-+.eE0159 \nx";
+                let pos = at(rng, input.len());
+                input.insert(pos, NOISE[rng.gen_range(0..NOISE.len())]);
+            }
+            _ => {}
+        }
+        let limit = match rng.gen_range(0..4) {
+            0 => 0,
+            1 => 1,
+            2 => rng.gen_range(0..=n),
+            _ => usize::MAX,
+        };
+        (String::from_utf8(input).unwrap(), limit)
+    }
+
+    #[test]
+    fn generated_number_arrays_match_the_value_tree() {
+        Checker::new("generated_number_arrays_match_the_value_tree")
+            .cases(1000)
+            .run(arb_number_array, |(input, limit)| {
+                let got = typed(input, *limit);
+                if !input
+                    .trim_start_matches([' ', '\t', '\n', '\r'])
+                    .starts_with('[')
+                {
+                    // Not an array: the typed read refuses at the
+                    // bracket, with its own message.
+                    require!(got.is_err(), "read a non-array: {got:?}");
+                    return Ok(());
+                }
+                let expected = reference(input).map(|mut out| {
+                    out.values.truncate(*limit);
+                    out
+                });
+                require_eq!(got, expected);
+                Ok(())
+            });
     }
 
     #[test]

@@ -7,22 +7,30 @@
 //! map or per-vertex trees:
 //!
 //! 1. raw ids are remapped densely in first-appearance order — exactly
-//!    [`Trace::normalize`](dwm_trace::Trace::normalize)'s numbering —
-//!    through a small open-addressing table whose hash is keyed per
-//!    table, so ids chosen by a client cannot be made to collide;
-//! 2. frequencies and per-item transition counts are tallied in one
-//!    walk, and every transition `u → v` (`u ≠ v`) is bucketed under
-//!    both endpoints;
-//! 3. walking the buckets in ascending item order hands each item its
-//!    neighbours already sorted, so rows are run-length counted in
-//!    place without a sort.
+//!    [`Trace::normalize`](dwm_trace::Trace::normalize)'s numbering.
+//!    Ids below [`GraphDigest::DIRECT_IDS`] are looked up in a direct
+//!    table sized by the largest such id in the request: no hash and
+//!    nothing to collide. Larger ids go through a small open-addressing
+//!    table whose hash is keyed per table, so ids chosen by a client
+//!    cannot be made to collide there either;
+//! 2. frequencies are tallied in one walk. Small, dense graphs (at
+//!    most [`GraphDigest::MATRIX_CELLS`] cells, and at most
+//!    [`GraphDigest::CELLS_PER_ACCESS`] per access) count every
+//!    transition `u → v` (`u ≠ v`) in both cells of a dense `n × n`
+//!    matrix. Every other graph buckets each transition under both
+//!    endpoints;
+//! 3. rows come out already sorted: a matrix row is read left to right,
+//!    keeping nonzero cells without a data-dependent branch, and walking
+//!    the buckets in ascending item order hands each item its
+//!    neighbours in order, so rows are run-length counted in place.
 //!
-//! The digest's [`fingerprint`](GraphDigest::fingerprint) equals
+//! Both counting routes give the same rows. The digest's
+//! [`fingerprint`](GraphDigest::fingerprint) equals
 //! [`fn@crate::fingerprint`] of the equivalent [`AccessGraph`] bit for
 //! bit, and [`GraphDigest::to_graph`] hands its rows to the graph as
 //! they are. [`AccessGraph::from_trace`], session windows, SPM
-//! projections and compiled programs all count edges here, so there is
-//! one edge-counting routine in the workspace.
+//! projections and compiled programs all count edges here, so the
+//! workspace counts edges in this one place.
 
 use std::hash::{BuildHasher, RandomState};
 
@@ -45,6 +53,20 @@ pub struct GraphDigest {
 }
 
 impl GraphDigest {
+    /// Raw ids below this bound are numbered through a direct table of
+    /// at most 16 KiB, grown to the next power of two past the largest
+    /// such id seen; larger ids go through the keyed hash table.
+    pub const DIRECT_IDS: u32 = 1 << 12;
+
+    /// The most cells a dense transition matrix may have: 256 KiB of
+    /// `u32` counts, so at most 256 items.
+    pub const MATRIX_CELLS: usize = 1 << 16;
+
+    /// The most matrix cells per access: `n² ≤ 4 · accesses`. Sparser
+    /// graphs spend more time reading empty cells than the bucket
+    /// passes spend on the whole digest.
+    pub const CELLS_PER_ACCESS: usize = 4;
+
     /// Digests a raw id sequence. Ids are remapped to `0..n` in order
     /// of first appearance, as `Trace::normalize` does, so the result
     /// describes the normalized trace's graph.
@@ -67,9 +89,68 @@ impl GraphDigest {
     pub fn from_dense<I>(n: usize, items: I) -> Self
     where
         I: IntoIterator<Item = usize>,
-        I::IntoIter: Clone,
+        I::IntoIter: Clone + ExactSizeIterator,
     {
         let items = items.into_iter();
+        let accesses = items.len();
+        let cells = n.saturating_mul(n);
+        // A cell counts at most `accesses - 1` transitions, so `u32`
+        // cells cannot overflow below `u32::MAX` accesses.
+        let dense = cells <= Self::MATRIX_CELLS
+            && cells <= accesses.saturating_mul(Self::CELLS_PER_ACCESS)
+            && accesses < u32::MAX as usize;
+        if dense {
+            Self::count_in_matrix(n, items)
+        } else {
+            Self::count_in_buckets(n, items)
+        }
+    }
+
+    /// The matrix route of [`GraphDigest::from_dense`].
+    fn count_in_matrix(n: usize, mut items: impl Iterator<Item = usize>) -> Self {
+        let mut frequency = vec![0u64; n];
+        // cells[u * n + v] counts the transitions between u and v in
+        // either direction; a self-transition adds 0 to the diagonal.
+        // Each item indexes `frequency` before it indexes a cell, so an
+        // item >= n panics instead of landing in the next row.
+        let mut cells = vec![0u32; n * n];
+        if let Some(first) = items.next() {
+            frequency[first] += 1;
+            let mut prev = first;
+            for x in items {
+                frequency[x] += 1;
+                let step = u32::from(prev != x);
+                cells[prev * n + x] += step;
+                cells[x * n + prev] += step;
+                prev = x;
+            }
+        }
+        let row = |u: usize| &cells[u * n..(u + 1) * n];
+        let mut row_offsets = vec![0usize; n + 1];
+        for u in 0..n {
+            row_offsets[u + 1] = row_offsets[u] + row(u).iter().filter(|&&w| w != 0).count();
+        }
+        // Every cell is written at the cursor, which moves on only past
+        // a nonzero weight; the one spare entry takes the writes after
+        // the last edge.
+        let mut rows = vec![(0u32, 0u64); row_offsets[n] + 1];
+        let mut cursor = 0;
+        for u in 0..n {
+            for (v, &w) in row(u).iter().enumerate() {
+                rows[cursor] = (v as u32, u64::from(w));
+                cursor += usize::from(w != 0);
+            }
+        }
+        rows.truncate(row_offsets[n]);
+        GraphDigest {
+            frequency,
+            row_offsets,
+            rows,
+        }
+    }
+
+    /// The bucket route of [`GraphDigest::from_dense`].
+    fn count_in_buckets(n: usize, items: impl Iterator<Item = usize> + Clone) -> Self {
         let mut frequency = vec![0u64; n];
         // bucket[u] counts the transitions touching u, then becomes its
         // fill cursor into `slots`.
@@ -190,18 +271,28 @@ impl GraphDigest {
     }
 }
 
-/// First-appearance dense numbering of raw `u32` ids: an
-/// open-addressing table with linear probing, resized at half load.
+/// First-appearance dense numbering of raw `u32` ids.
 ///
-/// Ids arrive from untrusted request bodies, so the home slot is
-/// splitmix64 of the id under a random per-table key (std's `HashMap`
-/// keys SipHash the same way): with a fixed hash a client could pick
-/// thousands of ids sharing one home slot and make every insert and
-/// lookup walk the whole cluster. The key never shows in the output —
-/// dense ids depend only on the order of first appearance.
+/// Ids below [`GraphDigest::DIRECT_IDS`] index a direct table. Larger
+/// ids go to an open-addressing table with linear probing, resized at
+/// half load. Both tables draw dense ids from one counter, so the
+/// numbering is the order of first appearance across both.
+///
+/// Ids arrive from untrusted request bodies, so the hashed table's home
+/// slot is splitmix64 of the id under a random per-table key (std's
+/// `HashMap` keys SipHash the same way): with a fixed hash a client
+/// could pick thousands of ids sharing one home slot and make every
+/// insert and lookup walk the whole cluster. The key never shows in the
+/// output — dense ids depend only on the order of first appearance.
 struct DenseIds {
+    /// `direct[id]` is the dense id of `id`, or `EMPTY`; its length is
+    /// the next power of two past the largest direct id seen.
+    direct: Vec<u32>,
     /// `(raw id, dense id)` slots; `EMPTY` dense ids mark free slots.
+    /// Allocated with the first id at or above the direct bound.
     slots: Vec<(u32, u32)>,
+    /// Number of occupied `slots`.
+    hashed: usize,
     len: u32,
     key: u64,
 }
@@ -211,9 +302,11 @@ const EMPTY: u32 = u32::MAX;
 impl DenseIds {
     fn new() -> Self {
         DenseIds {
-            slots: vec![(0, EMPTY); 64],
+            direct: Vec::new(),
+            slots: Vec::new(),
+            hashed: 0,
             len: 0,
-            key: RandomState::new().hash_one(0u64),
+            key: 0,
         }
     }
 
@@ -226,8 +319,39 @@ impl DenseIds {
         (splitmix64(&mut (u64::from(id) ^ self.key)) >> (64 - bits)) as usize
     }
 
+    /// The next dense id.
+    fn assign(&mut self) -> u32 {
+        assert!(self.len < EMPTY, "more than u32::MAX - 1 distinct ids");
+        self.len += 1;
+        self.len - 1
+    }
+
     /// The dense id of `id`, assigning the next one on first sight.
+    #[inline]
     fn intern(&mut self, id: u32) -> u32 {
+        match self.direct.get(id as usize) {
+            Some(&dense) if dense != EMPTY => dense,
+            _ if id < GraphDigest::DIRECT_IDS => self.first_direct(id),
+            _ => self.intern_hashed(id),
+        }
+    }
+
+    /// Assigns the next dense id to a direct id seen for the first time.
+    fn first_direct(&mut self, id: u32) -> u32 {
+        let i = id as usize;
+        if i >= self.direct.len() {
+            self.direct.resize((i + 1).next_power_of_two(), EMPTY);
+        }
+        self.direct[i] = self.assign();
+        self.direct[i]
+    }
+
+    /// [`DenseIds::intern`] for an id at or above the direct bound.
+    fn intern_hashed(&mut self, id: u32) -> u32 {
+        if self.slots.is_empty() {
+            self.slots = vec![(0, EMPTY); 64];
+            self.key = RandomState::new().hash_one(0u64);
+        }
         let mask = self.slots.len() - 1;
         let mut i = self.home(id);
         loop {
@@ -240,11 +364,10 @@ impl DenseIds {
             }
             i = (i + 1) & mask;
         }
-        assert!(self.len < EMPTY, "more than u32::MAX - 1 distinct ids");
-        let dense = self.len;
+        let dense = self.assign();
         self.slots[i] = (id, dense);
-        self.len += 1;
-        if self.len as usize * 2 > self.slots.len() {
+        self.hashed += 1;
+        if self.hashed * 2 > self.slots.len() {
             self.grow();
         }
         dense
@@ -362,5 +485,19 @@ mod tests {
         let sparse = GraphDigest::from_dense(4, [3, 0, 3]);
         assert_eq!(sparse.frequencies(), &[1, 0, 0, 2]);
         assert_eq!(sparse.row(3), &[(0, 2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn an_item_past_n_panics_in_the_matrix() {
+        // 2² cells for 4 accesses take the matrix, where item 2's flat
+        // index 0·2 + 2 is a cell of row 1.
+        GraphDigest::from_dense(2, [0, 2, 1, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn an_item_past_n_panics_in_the_buckets() {
+        GraphDigest::from_dense(4, [0, 4]);
     }
 }

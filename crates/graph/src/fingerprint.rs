@@ -39,24 +39,9 @@ pub struct Fingerprint {
 }
 
 impl Fingerprint {
-    /// The fingerprint as one `u128`.
-    pub fn as_u128(self) -> u128 {
-        (u128::from(self.hi) << 64) | u128::from(self.lo)
-    }
-
     /// Lower-case 32-character hex form (the wire / CLI spelling).
     pub fn to_hex(self) -> String {
         format!("{:016x}{:016x}", self.hi, self.lo)
-    }
-
-    /// Parses the 32-character hex form.
-    pub fn parse_hex(s: &str) -> Option<Self> {
-        if s.len() != 32 {
-            return None;
-        }
-        let hi = u64::from_str_radix(&s[..16], 16).ok()?;
-        let lo = u64::from_str_radix(&s[16..], 16).ok()?;
-        Some(Fingerprint { hi, lo })
     }
 }
 
@@ -238,13 +223,11 @@ mod tests {
     }
 
     #[test]
-    fn hex_round_trips_and_rejects_garbage() {
+    fn hex_spells_hi_then_lo() {
         let fp = fingerprint(&graph_of(&[3, 1, 4, 1, 5, 9, 2, 6]));
         let hex = fp.to_hex();
         assert_eq!(hex.len(), 32);
-        assert_eq!(Fingerprint::parse_hex(&hex), Some(fp));
-        assert_eq!(Fingerprint::parse_hex("short"), None);
-        assert_eq!(Fingerprint::parse_hex(&"g".repeat(32)), None);
+        assert_eq!(hex, format!("{:016x}{:016x}", fp.hi, fp.lo));
         assert_eq!(format!("{fp}"), hex);
     }
 
@@ -294,7 +277,7 @@ mod tests {
     #[test]
     fn empty_graph_has_a_fingerprint() {
         let fp = fingerprint(&AccessGraph::with_items(0));
-        assert_ne!(fp.as_u128(), 0);
+        assert_ne!(fp, Fingerprint { hi: 0, lo: 0 });
         assert_ne!(fp, fingerprint(&AccessGraph::with_items(1)));
     }
 }

@@ -54,6 +54,16 @@ if [[ "$MODE" == "--tests-only" ]]; then
   exit 0
 fi
 
+# The parser properties again at 20000 cases each (the run above takes
+# 1000, 2000 and 48): the typed JSON array reader against the value
+# tree, the request decoder against the value-tree reference, and the
+# two HTTP request parsers against each other.
+echo "== parser property soak (DWM_CHECK_CASES=20000)"
+DWM_CHECK_CASES=20000 cargo test -q -p dwm-foundation --lib -- \
+  generated_number_arrays_match_the_value_tree \
+  generated_pipelines_parse_alike_in_both_parsers
+DWM_CHECK_CASES=20000 cargo test -q --test decode_differential
+
 echo "== README quickstart smoke"
 bash scripts/doc_smoke.sh
 

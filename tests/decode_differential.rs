@@ -173,7 +173,15 @@ fn id_token(rng: &mut Rng) -> String {
         "99999999999",
     ];
     if rng.gen_bool(0.85) {
-        rng.gen_range(0..64u32).to_string()
+        // 1–10 digits, log-uniform: ids of every width up to and past
+        // `u32::MAX`.
+        let digits = rng.gen_range(1..=10u32);
+        let least = if digits == 1 {
+            0
+        } else {
+            10u64.pow(digits - 1)
+        };
+        rng.gen_range(least..10u64.pow(digits)).to_string()
     } else {
         ODD[rng.gen_range(0..ODD.len())].to_owned()
     }
@@ -184,10 +192,19 @@ fn ws(rng: &mut Rng) -> &'static str {
     WS[rng.gen_range(0..WS.len())]
 }
 
+/// Up to 48 ids, long enough for runs of the decoder's 8-byte scan;
+/// half the arrays are compact, as clients send ids.
 fn id_array(rng: &mut Rng) -> String {
-    let n = rng.gen_range(0..12);
+    let n = rng.gen_range(0..48);
+    let compact = rng.gen_bool(0.5);
     let items: Vec<String> = (0..n)
-        .map(|_| format!("{}{}{}", ws(rng), id_token(rng), ws(rng)))
+        .map(|_| {
+            if compact {
+                id_token(rng)
+            } else {
+                format!("{}{}{}", ws(rng), id_token(rng), ws(rng))
+            }
+        })
         .collect();
     format!("[{}]", items.join(","))
 }

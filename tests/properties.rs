@@ -716,6 +716,91 @@ fn digest_matches_the_reference_graph_builder() {
         });
 }
 
+/// Generator: one case on a chosen side of each digest selection. The
+/// item count `n` is small, at the matrix's cell cap (256 items) or
+/// just past it; the length sits just below, exactly at or just above
+/// the shortest the matrix admits for `n` (`n² ≤ 4 · accesses`), or
+/// anywhere up to twice it. The first accesses visit distinct items, so
+/// `from_ids` sees as many items as the length allows. Raw ids are all
+/// below the direct-table bound, all at or above it, or mixed, with
+/// `0`, the bound's neighbours and `u32::MAX` among them.
+fn arb_selection(rng: &mut Rng) -> (usize, Vec<usize>, Vec<u32>) {
+    let n = match rng.gen_range(0..3) {
+        0 => rng.gen_range(1..=16usize),
+        1 => rng.gen_range(17..=96usize),
+        _ => [255, 256, 257][rng.gen_range(0..3usize)],
+    };
+    let cells_per_access = GraphDigest::CELLS_PER_ACCESS;
+    let shortest = (n * n).div_ceil(cells_per_access);
+    let len = match rng.gen_range(0..4) {
+        0 => shortest.saturating_sub(1),
+        1 => shortest,
+        2 => shortest + 1,
+        _ => rng.gen_range(0..=2 * shortest),
+    };
+    let mut seq: Vec<usize> = (0..n).collect();
+    rng.shuffle(&mut seq);
+    seq.truncate(len);
+    seq.extend((seq.len()..len).map(|_| rng.gen_range(0..n)));
+
+    let bound = GraphDigest::DIRECT_IDS;
+    let mode = rng.gen_range(0..3);
+    let mut pool = BTreeSet::new();
+    let edges = [0, 1, bound - 1, bound, bound + 1, u32::MAX - 1, u32::MAX];
+    for id in edges {
+        let direct = id < bound;
+        if (mode == 0 && direct) || (mode == 1 && !direct) || (mode == 2 && rng.gen_bool(0.5)) {
+            pool.insert(id);
+        }
+    }
+    while pool.len() < n {
+        let direct = match mode {
+            0 => true,
+            1 => false,
+            _ => rng.gen_bool(0.5),
+        };
+        pool.insert(if direct {
+            rng.gen_range(0..bound)
+        } else {
+            rng.gen_range(bound..=u32::MAX)
+        });
+    }
+    let mut pool: Vec<u32> = pool.into_iter().collect();
+    rng.shuffle(&mut pool);
+    let ids = seq.iter().map(|&i| pool[i]).collect();
+    (n, seq, ids)
+}
+
+/// Both sides of both selections inside the digest — the direct id
+/// table or the hashed one, the dense transition matrix or the buckets
+/// — give the reference builder's graph: `from_dense` with the drawn
+/// item count, `from_ids` over the raw ids, their rows as graphs and
+/// their fingerprints.
+#[test]
+fn digest_selections_match_the_reference_graph_builder() {
+    Checker::new("digest_selections_match_the_reference_graph_builder")
+        .cases(64)
+        .run(arb_selection, |(n, seq, ids)| {
+            let seed = seq.len() as u64;
+            let dense = GraphDigest::from_dense(*n, seq.iter().copied());
+            let oracle = Oracle::from_dense(*n, seq);
+            require_eq!(dense.frequencies(), &oracle.frequency[..]);
+            let graph = dense.to_graph();
+            oracle.check(&graph, seed)?;
+            require_eq!(dense.fingerprint(), fingerprint(&graph));
+
+            let digest = GraphDigest::from_ids(ids);
+            let reference = Oracle::from_ids(ids);
+            require_eq!(digest.num_items(), reference.adj.len());
+            require_eq!(digest.num_edges(), reference.edges().len());
+            require_eq!(digest.frequencies(), &reference.frequency[..]);
+            let graph = digest.to_graph();
+            reference.check(&graph, seed)?;
+            require_eq!(digest.fingerprint(), fingerprint(&graph));
+            Ok(())
+        });
+}
+
 /// The SPM allocator's per-DBC sub-graphs: the trace projected onto one
 /// part's items, renumbered locally, counts each item exactly as often
 /// as the parent graph does, and its rows are the oracle's — so the
